@@ -363,6 +363,96 @@ func BenchmarkIPCScaling(b *testing.B) {
 	}
 }
 
+// BenchmarkLockAcquireRelease measures the host cost of the virtual kernel
+// lock around one kernel entry: b.N null system calls under the big lock,
+// spread over one thread per CPU. With one CPU no acquire can find the
+// lock busy and every one must take the O(1) watermark exit; with four,
+// the serial interleaver runs one CPU's clock a whole episode ahead at a
+// time, so the others acquire behind the lock's last release and pay the
+// hold-ring scan (mostly finding the lock free at their instant) — the
+// path that must not get slower. ns/op is per system call (one
+// acquire/release pair each, plus the entry/exit around it).
+func BenchmarkLockAcquireRelease(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		cpus int
+	}{{"uncontended/cpus=1", 1}, {"clock-behind/cpus=4", 4}} {
+		bc := bc
+		b.Run(bc.name, func(b *testing.B) {
+			k := core.New(core.Config{Model: core.ModelInterrupt, NumCPUs: bc.cpus, LockModel: core.LockBig})
+			defer k.Shutdown()
+			pb := prog.New(0x0001_0000)
+			pb.Movi(6, 0).Label("loop").
+				Null().
+				Addi(6, 6, 1).Movi(5, uint32(b.N/bc.cpus+1)).Blt(6, 5, "loop").
+				Halt()
+			img := pb.MustAssemble()
+			var threads []*obj.Thread
+			for c := 0; c < bc.cpus; c++ {
+				s := k.NewSpace()
+				k.SetSpaceHome(s, c)
+				th, err := k.SpawnProgram(s, 0x0001_0000, img, 8)
+				if err != nil {
+					b.Fatal(err)
+				}
+				threads = append(threads, th)
+			}
+			b.ResetTimer()
+			k.Run()
+			b.StopTimer()
+			for _, th := range threads {
+				if !th.Exited {
+					b.Fatal("loop did not finish")
+				}
+			}
+			var acquires uint64
+			for _, ls := range k.LockStats() {
+				acquires += ls.Acquires
+			}
+			if acquires < uint64(b.N) {
+				b.Fatalf("%d lock acquires for %d system calls", acquires, b.N)
+			}
+		})
+	}
+}
+
+// BenchmarkSliceTimerRearm measures one quantum-timer re-arm, the clock
+// work of every context switch, both ways: Rearm on the CPU's one Timer,
+// and the Cancel + After pair it replaced (a Timer and its heap slot
+// allocated per arming). A few other timers keep the heap non-trivial.
+func BenchmarkSliceTimerRearm(b *testing.B) {
+	const quantum = 10 * clock.CyclesPerMillisecond
+	setup := func() *clock.Clock {
+		c := clock.New()
+		for i := uint64(1); i <= 4; i++ {
+			c.At(i<<40, nil)
+		}
+		return c
+	}
+	expired := func(uint64) {}
+	b.Run("rearm", func(b *testing.B) {
+		c := setup()
+		t := c.NewTimer(expired)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Rearm(t, c.Now()+quantum)
+			c.Advance(100)
+		}
+	})
+	b.Run("cancel+after", func(b *testing.B) {
+		c := setup()
+		var t *clock.Timer
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Cancel(t)
+			t = c.After(quantum, expired)
+			c.Advance(100)
+		}
+	})
+}
+
 // BenchmarkInterpreter measures raw simulated-CPU throughput
 // (instructions of guest code per wall second).
 func BenchmarkInterpreter(b *testing.B) {

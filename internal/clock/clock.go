@@ -42,7 +42,7 @@ type Timer struct {
 	fired bool
 }
 
-// Fired reports whether the timer has already fired.
+// Fired reports whether the timer is done: it has fired or was cancelled.
 func (t *Timer) Fired() bool { return t.fired }
 
 // Stop cancels the timer on whichever clock armed it — with one clock per
@@ -89,6 +89,33 @@ func (c *Clock) At(deadline uint64, fn func(now uint64)) *Timer {
 	c.seq++
 	heap.Push(&c.timers, t)
 	return t
+}
+
+// NewTimer returns a timer of c that runs fn each time it fires. It starts
+// out in the cancelled state (not pending, Fired reports true) until Rearm
+// arms it; one such timer re-armed over and over replaces an At per arming.
+func (c *Clock) NewTimer(fn func(now uint64)) *Timer {
+	return &Timer{Callback: fn, owner: c, index: -1, fired: true}
+}
+
+// Rearm schedules t, a timer of this clock, to fire at deadline, whether
+// it is pending, fired or cancelled. It is exactly Cancel followed by At
+// with t's callback — the timer takes a fresh sequence number, so it queues
+// behind every already-registered timer with an equal deadline — but
+// reuses t instead of allocating.
+func (c *Clock) Rearm(t *Timer, deadline uint64) {
+	if t.owner != c {
+		panic("clock: Rearm of another clock's timer")
+	}
+	t.Deadline = deadline
+	t.seq = c.seq
+	c.seq++
+	t.fired = false
+	if t.index >= 0 {
+		heap.Fix(&c.timers, t.index)
+		return
+	}
+	heap.Push(&c.timers, t)
 }
 
 // Cancel removes a pending timer. Cancelling an already-fired or cancelled

@@ -1,6 +1,8 @@
 package clock
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -231,5 +233,153 @@ func TestPropertyChunkedAdvanceEquivalent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// rearmModel is the reference for Rearm: the same reusable-timer surface
+// built from Cancel followed by At, a fresh Timer per arming.
+type rearmModel struct {
+	c  *Clock
+	t  *Timer // nil until first armed: like NewTimer, reads as cancelled
+	fn func(now uint64)
+}
+
+func (m *rearmModel) rearm(deadline uint64) {
+	m.c.Cancel(m.t)
+	m.t = m.c.At(deadline, m.fn)
+}
+func (m *rearmModel) cancel() bool { return m.c.Cancel(m.t) }
+func (m *rearmModel) fired() bool  { return m.t == nil || m.t.Fired() }
+
+// TestRearmEqualsCancelThenAt runs one random script of arms, cancels,
+// advances and interleaved At calls — deadlines drawn from a handful of
+// values so equal-deadline ties are the norm — against a Rearm'd timer on
+// one clock and the Cancel+At model on another. The firing order (the
+// reusable timer's position among equal deadlines included), Fired(),
+// Cancel's answer and Pending() must agree after every step.
+func TestRearmEqualsCancelThenAt(t *testing.T) {
+	const self = -1 // the reusable timer's id in the firing log
+	type event struct {
+		id  int
+		now uint64
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var gotLog, wantLog []event
+		got, want := New(), New()
+		tm := got.NewTimer(func(now uint64) { gotLog = append(gotLog, event{self, now}) })
+		model := &rearmModel{c: want, fn: func(now uint64) { wantLog = append(wantLog, event{self, now}) }}
+		deadline := func() uint64 { return got.Now() + 10*uint64(rng.Intn(4)) }
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(10); {
+			case op < 3: // arm: pending, fired and cancelled timers alike
+				d := deadline()
+				got.Rearm(tm, d)
+				model.rearm(d)
+			case op < 6: // an ordinary timer, often tying with the reusable one
+				d, id := deadline(), step
+				got.At(d, func(now uint64) { gotLog = append(gotLog, event{id, now}) })
+				want.At(d, func(now uint64) { wantLog = append(wantLog, event{id, now}) })
+			case op < 7:
+				if g, w := got.Cancel(tm), model.cancel(); g != w {
+					t.Fatalf("seed %d step %d: Cancel = %v, model %v", seed, step, g, w)
+				}
+			default:
+				delta := uint64(rng.Intn(15))
+				if g, w := got.Advance(delta), want.Advance(delta); g != w {
+					t.Fatalf("seed %d step %d: Advance fired %d timers, model %d", seed, step, g, w)
+				}
+			}
+			if tm.Fired() != model.fired() {
+				t.Fatalf("seed %d step %d: Fired = %v, model %v", seed, step, tm.Fired(), model.fired())
+			}
+			if got.Pending() != want.Pending() {
+				t.Fatalf("seed %d step %d: Pending = %d, model %d", seed, step, got.Pending(), want.Pending())
+			}
+			if d, ok := got.NextDeadline(); ok {
+				if wd, _ := want.NextDeadline(); d != wd {
+					t.Fatalf("seed %d step %d: NextDeadline = %d, model %d", seed, step, d, wd)
+				}
+			}
+			if len(gotLog) != len(wantLog) {
+				t.Fatalf("seed %d step %d: %d firings, model %d", seed, step, len(gotLog), len(wantLog))
+			}
+			for i := range gotLog {
+				if gotLog[i] != wantLog[i] {
+					t.Fatalf("seed %d step %d: firing %d = %+v, model %+v", seed, step, i, gotLog[i], wantLog[i])
+				}
+			}
+		}
+		selfFirings := 0
+		for _, e := range gotLog {
+			if e.id == self {
+				selfFirings++
+			}
+		}
+		if selfFirings < 10 {
+			t.Fatalf("seed %d: reusable timer fired only %d times", seed, selfFirings)
+		}
+	}
+}
+
+// TestRearmQueuesBehindEqualDeadlines spells out the tie rule the kernel's
+// quantum timer depends on: re-arming takes a fresh sequence number, so
+// the timer fires after every timer already registered for that deadline
+// even though it was first registered before them.
+func TestRearmQueuesBehindEqualDeadlines(t *testing.T) {
+	c := New()
+	var order []string
+	tm := c.NewTimer(func(uint64) { order = append(order, "reused") })
+	if !tm.Fired() || tm.Stop() || c.Pending() != 0 {
+		t.Fatal("a new timer must start cancelled: not pending, Fired, Stop a no-op")
+	}
+	c.Rearm(tm, 100)
+	c.At(50, func(uint64) { order = append(order, "other") })
+	c.Rearm(tm, 50) // pending → moved, behind "other"
+	c.Advance(60)
+	c.Rearm(tm, 80) // fired → armed again
+	c.At(80, func(uint64) { order = append(order, "late") })
+	c.Cancel(tm)
+	c.Rearm(tm, 80) // cancelled → armed again, behind "late"
+	c.Advance(40)
+	if got, want := fmt.Sprint(order), "[other reused late reused]"; got != want {
+		t.Fatalf("firing order %s, want %s", got, want)
+	}
+	if !tm.Fired() || c.Pending() != 0 {
+		t.Fatalf("after the last firing: Fired=%v Pending=%d", tm.Fired(), c.Pending())
+	}
+}
+
+func TestRearmForeignTimerPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Rearm of another clock's timer did not panic")
+		}
+	}()
+	New().Rearm(New().NewTimer(nil), 1)
+}
+
+// TestRearmDoesNotAllocate pins the point of Rearm: arming, moving,
+// cancelling and firing one reusable timer allocates nothing.
+func TestRearmDoesNotAllocate(t *testing.T) {
+	c := New()
+	fired := 0
+	tm := c.NewTimer(func(uint64) { fired++ })
+	for i := uint64(0); i < 8; i++ { // other pending timers, so the heap has depth
+		c.At(1<<40+i, nil)
+	}
+	c.Rearm(tm, 1) // grows the heap's backing array once
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.Rearm(tm, c.Now()+100) // pending → moved
+		c.Cancel(tm)
+		c.Rearm(tm, c.Now()+10) // cancelled → armed
+		c.Advance(10)           // fires
+		c.Rearm(tm, c.Now()+50) // fired → armed
+	})
+	if allocs != 0 {
+		t.Fatalf("Rearm cycle allocates %.1f objects, want 0", allocs)
+	}
+	if fired == 0 {
+		t.Fatal("timer never fired")
 	}
 }

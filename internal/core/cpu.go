@@ -27,9 +27,9 @@ type CPU struct {
 	current *obj.Thread
 
 	needResched bool
-	sliceTimer  *clock.Timer
-	inHandler   bool        // a syscall handler is on this CPU's kernel stack
-	settling    *obj.Thread // settle() target; suppresses FP re-parking
+	sliceTimer  *clock.Timer // the quantum timer, built once (newCPU) and re-armed
+	inHandler   bool         // a syscall handler is on this CPU's kernel stack
+	settling    *obj.Thread  // settle() target; suppresses FP re-parking
 
 	// reschedSince is the virtual time of the oldest unserviced
 	// reschedule request (local quantum expiry, local wake, or a remote
@@ -52,26 +52,23 @@ type CPU struct {
 	held      []int32
 }
 
-func newCPU(id int) *CPU {
-	return &CPU{
+func newCPU(k *Kernel, id int) *CPU {
+	c := &CPU{
 		id:    id,
 		clk:   clock.New(),
 		runq:  sched.NewRunQueue(),
 		stats: newStats(),
 		held:  make([]int32, 0, maxHeldSlots),
 	}
+	c.sliceTimer = c.clk.NewTimer(func(uint64) { k.quantumExpired(c) })
+	return c
 }
 
 // ID returns the CPU's index.
 func (c *CPU) ID() int { return c.id }
 
 // stopSliceTimer cancels the CPU's pending quantum timer, if any.
-func (c *CPU) stopSliceTimer() {
-	if c.sliceTimer != nil {
-		c.clk.Cancel(c.sliceTimer)
-		c.sliceTimer = nil
-	}
-}
+func (c *CPU) stopSliceTimer() { c.clk.Cancel(c.sliceTimer) }
 
 // ---------------------------------------------------------------------------
 // Kernel-level multi-CPU surface.

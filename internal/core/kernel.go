@@ -208,7 +208,7 @@ func New(cfg Config) *Kernel {
 	}
 	k.cpus = make([]*CPU, cfg.NumCPUs)
 	for i := range k.cpus {
-		k.cpus[i] = newCPU(i)
+		k.cpus[i] = newCPU(k, i)
 	}
 	k.cur = k.cpus[0]
 	k.Clock = k.cpus[0].clk

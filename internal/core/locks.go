@@ -119,8 +119,15 @@ type holdSpan struct {
 // charged exactly when the acquirer's clock lands inside a remembered
 // hold, which is when a real CPU would have spun.
 type vlock struct {
-	spans      []holdSpan
-	next       int // ring write cursor
+	spans []holdSpan
+	next  int // ring write cursor
+	// watermark is an upper bound on every until this lock has ever
+	// published: never lowered, so an acquirer at or past it cannot be
+	// inside any remembered hold and skips the ring scan. Stale-high
+	// (the span it came from was overwritten) only costs a scan;
+	// stale-low would drop contention, which is why nothing lowers it.
+	watermark  uint64
+	scans      uint64 // scanClear entries; stays 0 on a uniprocessor
 	acquires   uint64
 	contended  uint64
 	waitCycles uint64
@@ -128,7 +135,20 @@ type vlock struct {
 
 // clearUntil returns the earliest time >= now at which no remembered hold
 // of vl covers the clock — the moment a spinning CPU would get the lock.
+// With one CPU, and for the leading CPU of a multiprocessor, now is never
+// behind the watermark and the answer is now itself in O(1); only a
+// clock-behind acquirer scans.
 func (vl *vlock) clearUntil(now uint64) uint64 {
+	if now >= vl.watermark {
+		return now
+	}
+	return vl.scanClear(now)
+}
+
+// scanClear is clearUntil's slow path: chase now through the ring until
+// no remembered hold covers it.
+func (vl *vlock) scanClear(now uint64) uint64 {
+	vl.scans++
 	for {
 		hit := false
 		for i := range vl.spans {
@@ -140,6 +160,18 @@ func (vl *vlock) clearUntil(now uint64) uint64 {
 		if !hit {
 			return now
 		}
+	}
+}
+
+// publish records the completed hold [from, until) in the ring. Callers
+// skip zero-length holds: no clock can land inside one.
+func (vl *vlock) publish(from, until uint64) {
+	vl.spans[vl.next] = holdSpan{from: from, until: until}
+	if vl.next++; vl.next == len(vl.spans) {
+		vl.next = 0
+	}
+	if until > vl.watermark {
+		vl.watermark = until
 	}
 }
 
@@ -366,18 +398,21 @@ func (k *Kernel) lockReleaseSlot(c *CPU, slot int) {
 		k.Metrics.LockHoldCycles[k.lockKinds[slot]].Observe(now - c.lockSince[slot])
 	}
 	// Publish this hold so later (possibly clock-behind) acquirers spin
-	// past it. Zero-length holds need no entry: no clock can land inside.
-	if vl := &k.vlocks[slot]; k.par == nil && now > c.lockSince[slot] {
-		vl.spans[vl.next] = holdSpan{from: c.lockSince[slot], until: now}
-		vl.next = (vl.next + 1) % len(vl.spans)
+	// past it.
+	if since := c.lockSince[slot]; k.par == nil && now > since {
+		k.vlocks[slot].publish(since, now)
 	}
-	// Drop slot from the held list (near-LIFO in practice; scan from top).
-	for i := len(c.held) - 1; i >= 0; i-- {
-		if c.held[i] == int32(slot) {
-			c.held = append(c.held[:i], c.held[i+1:]...)
-			break
+	// Drop slot from the held list: releases are near-LIFO, so this is
+	// almost always a pop of the top entry.
+	top := len(c.held) - 1
+	if c.held[top] != int32(slot) {
+		i := top - 1
+		for c.held[i] != int32(slot) {
+			i--
 		}
+		copy(c.held[i:], c.held[i+1:])
 	}
+	c.held = c.held[:top]
 }
 
 // lockAcquire takes (the model's slot for) lock kind id on behalf of c.

@@ -365,14 +365,75 @@ func TestParallelHostIPCPairs(t *testing.T) {
 	}
 }
 
+// snapshotObserver returns a runParallelPairsHook hook that polls read —
+// the Stats total and the profile total — from its own goroutine until
+// the run ends, failing if either total goes backwards and counting the
+// completed reads in snaps. The hook returns (and so the run starts) only
+// after the observer's first complete read: whether a read happened must
+// not depend on the host scheduling the observer before a short run ends.
+func snapshotObserver(t *testing.T, snaps *atomic.Int64,
+	read func(k *core.Kernel) (stats, prof uint64)) func(*core.Kernel) func() {
+	return func(k *core.Kernel) func() {
+		done := make(chan struct{})
+		first := make(chan struct{})
+		var lastStats, lastProf uint64
+		poll := func() bool {
+			stats, prof := read(k)
+			if stats < lastStats {
+				t.Errorf("Stats total went backwards: %d -> %d", lastStats, stats)
+				return false
+			}
+			if prof < lastProf {
+				t.Errorf("profile total went backwards: %d -> %d", lastProf, prof)
+				return false
+			}
+			lastStats, lastProf = stats, prof
+			snaps.Add(1)
+			return true
+		}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ok := poll()
+			close(first)
+			for ok {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				ok = poll()
+			}
+		}()
+		<-first
+		return func() { close(done); wg.Wait() }
+	}
+}
+
+// checkSnapshotRun is the shared epilogue of the snapshot tests: the
+// observer read at least once, and at quiescence the profiler's attributed
+// cycles equal Stats().TotalCycles() exactly.
+func checkSnapshotRun(t *testing.T, k *core.Kernel, snaps *atomic.Int64) {
+	t.Helper()
+	if snaps.Load() == 0 {
+		t.Fatal("snapshot goroutine never completed a read")
+	}
+	attributed := k.ProfileSnapshot().TotalCycles()
+	if want := k.Stats().TotalCycles(); attributed != want {
+		t.Fatalf("attributed cycles %d != Stats total %d after concurrent snapshots",
+			attributed, want)
+	}
+}
+
 // TestParallelHostSnapshotsDuringRun reads Stats() and ProfileSnapshot()
 // from a separate goroutine while the per-CPU goroutines step — the live
 // observation pattern. The gate mutex makes each read a consistent
-// inter-dispatch view; -race (the CI race job runs TestParallelHost*)
-// checks the synchronization, this test checks the semantics: snapshot
-// totals never go backwards mid-run, and once the run quiesces the
-// profiler's attributed cycles equal Stats().TotalCycles() exactly —
-// the double-entry invariant holds across concurrent shard merges.
+// inter-dispatch view; -race checks the synchronization, this test checks
+// the semantics: snapshot totals never go backwards mid-run, and once the
+// run quiesces the profiler's attributed cycles equal
+// Stats().TotalCycles() exactly — the double-entry invariant holds across
+// concurrent shard merges.
 func TestParallelHostSnapshotsDuringRun(t *testing.T) {
 	for _, lm := range lockModels {
 		lm := lm
@@ -383,46 +444,11 @@ func TestParallelHostSnapshotsDuringRun(t *testing.T) {
 				EnableProfiler: true,
 			}
 			var snaps atomic.Int64
-			hook := func(k *core.Kernel) func() {
-				done := make(chan struct{})
-				var wg sync.WaitGroup
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					var lastProf, lastStats uint64
-					for {
-						select {
-						case <-done:
-							return
-						default:
-						}
-						st := k.Stats()
-						if tot := st.TotalCycles(); tot < lastStats {
-							t.Errorf("Stats total went backwards: %d -> %d", lastStats, tot)
-							return
-						} else {
-							lastStats = tot
-						}
-						if tot := k.ProfileSnapshot().TotalCycles(); tot < lastProf {
-							t.Errorf("profile total went backwards: %d -> %d", lastProf, tot)
-							return
-						} else {
-							lastProf = tot
-						}
-						snaps.Add(1)
-					}
-				}()
-				return func() { close(done); wg.Wait() }
-			}
+			hook := snapshotObserver(t, &snaps, func(k *core.Kernel) (uint64, uint64) {
+				return k.Stats().TotalCycles(), k.ProfileSnapshot().TotalCycles()
+			})
 			k := runParallelPairsHook(t, cfg, 3, 16, hook)
-			if snaps.Load() == 0 {
-				t.Fatal("snapshot goroutine never completed a read")
-			}
-			attributed := k.ProfileSnapshot().TotalCycles()
-			if want := k.Stats().TotalCycles(); attributed != want {
-				t.Fatalf("attributed cycles %d != Stats total %d after concurrent snapshots",
-					attributed, want)
-			}
+			checkSnapshotRun(t, k, &snaps)
 		})
 	}
 }
@@ -432,9 +458,9 @@ func TestParallelHostSnapshotsDuringRun(t *testing.T) {
 // the ParallelHost gate splits into per-CPU shards plus a shared kernel
 // mutex, and cross-CPU wakes travel through mailboxes. Snapshots must
 // still see consistent, monotone totals, and the double-entry cycle
-// invariant must hold at quiescence. The CI race job runs this under
-// -race; with 64 CPU goroutines plus a snapshot goroutine it is the
-// stress test for the shard/kmu/mailbox ordering.
+// invariant must hold at quiescence. Under -race, with 64 CPU goroutines
+// plus a snapshot goroutine, it is the stress test for the
+// shard/kmu/mailbox ordering.
 func TestParallelHostFineSnapshotsDuringRun(t *testing.T) {
 	cfg := core.Config{
 		Model: core.ModelInterrupt, Preempt: core.PreemptPartial,
@@ -446,47 +472,13 @@ func TestParallelHostFineSnapshotsDuringRun(t *testing.T) {
 		pairs, rpcs = 4, 4
 	}
 	var snaps atomic.Int64
-	hook := func(k *core.Kernel) func() {
-		done := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var buf core.Stats
-			var lastProf, lastStats uint64
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				k.StatsInto(&buf)
-				if tot := buf.TotalCycles(); tot < lastStats {
-					t.Errorf("Stats total went backwards: %d -> %d", lastStats, tot)
-					return
-				} else {
-					lastStats = tot
-				}
-				if tot := k.ProfileSnapshot().TotalCycles(); tot < lastProf {
-					t.Errorf("profile total went backwards: %d -> %d", lastProf, tot)
-					return
-				} else {
-					lastProf = tot
-				}
-				snaps.Add(1)
-			}
-		}()
-		return func() { close(done); wg.Wait() }
-	}
+	var buf core.Stats
+	hook := snapshotObserver(t, &snaps, func(k *core.Kernel) (uint64, uint64) {
+		k.StatsInto(&buf)
+		return buf.TotalCycles(), k.ProfileSnapshot().TotalCycles()
+	})
 	k := runParallelPairsHook(t, cfg, pairs, rpcs, hook)
-	if snaps.Load() == 0 {
-		t.Fatal("snapshot goroutine never completed a read")
-	}
-	attributed := k.ProfileSnapshot().TotalCycles()
-	if want := k.Stats().TotalCycles(); attributed != want {
-		t.Fatalf("attributed cycles %d != Stats total %d after concurrent snapshots",
-			attributed, want)
-	}
+	checkSnapshotRun(t, k, &snaps)
 }
 
 // TestStatsIntoAllocs pins the allocation-free Stats merge: at 64 CPUs a

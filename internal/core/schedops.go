@@ -364,37 +364,38 @@ func (k *Kernel) kickCPU(c *CPU, target *CPU) {
 // ---------------------------------------------------------------------------
 // Slice timer.
 
-// armSliceTimer (re)arms c's quantum timer. On expiry, a uniprocessor
-// keeps the running thread unless equal-or-higher-priority work is queued
-// (the original round-robin rule, preserved bit-exactly); a multiprocessor
+// armSliceTimer (re)arms c's quantum timer one quantum from now, reusing
+// the CPU's one Timer so a context switch allocates nothing.
+func (k *Kernel) armSliceTimer(c *CPU) {
+	c.clk.Rearm(c.sliceTimer, c.clk.Now()+k.cfg.Quantum)
+}
+
+// quantumExpired is c's quantum-timer callback. A uniprocessor keeps the
+// running thread unless equal-or-higher-priority work is queued (the
+// original round-robin rule, preserved bit-exactly); a multiprocessor
 // always ends the episode so the serial interleaver regains control and
 // other CPUs' virtual time can progress (liveness under work stealing).
-func (k *Kernel) armSliceTimer(c *CPU) {
-	if c.sliceTimer != nil {
-		c.clk.Cancel(c.sliceTimer)
+func (k *Kernel) quantumExpired(c *CPU) {
+	c.stats.TimerIRQs++
+	if k.Metrics != nil {
+		k.Metrics.TimerIRQs.Inc()
 	}
-	c.sliceTimer = c.clk.After(k.cfg.Quantum, func(uint64) {
-		c.stats.TimerIRQs++
-		if k.Metrics != nil {
-			k.Metrics.TimerIRQs.Inc()
-		}
-		cur := c.current
-		if cur == nil {
-			return
-		}
-		if len(k.cpus) > 1 {
-			k.noteResched(c)
-			return
-		}
-		if p, ok := c.runq.TopPriority(); ok && p >= cur.Priority {
-			k.noteResched(c)
-		} else if d := c.runq.Donation(); d != nil && d.Priority >= cur.Priority {
-			// A staged handoff is queued work too: without this, a quantum
-			// expiring between staging and the donor's block would leave
-			// the system timer-less while the staged peer waits.
-			k.noteResched(c)
-		}
-	})
+	cur := c.current
+	if cur == nil {
+		return
+	}
+	if len(k.cpus) > 1 {
+		k.noteResched(c)
+		return
+	}
+	if p, ok := c.runq.TopPriority(); ok && p >= cur.Priority {
+		k.noteResched(c)
+	} else if d := c.runq.Donation(); d != nil && d.Priority >= cur.Priority {
+		// A staged handoff is queued work too: without this, a quantum
+		// expiring between staging and the donor's block would leave
+		// the system timer-less while the staged peer waits.
+		k.noteResched(c)
+	}
 }
 
 // ensureSliceTimer arms c's quantum timer only if none is pending — used
@@ -403,7 +404,7 @@ func (k *Kernel) armSliceTimer(c *CPU) {
 // old timer already fired (or was never armed), running on without one
 // would let a handoff chain starve equal-priority queued work.
 func (k *Kernel) ensureSliceTimer(c *CPU) {
-	if c.sliceTimer == nil || c.sliceTimer.Fired() {
+	if c.sliceTimer.Fired() {
 		k.armSliceTimer(c)
 	}
 }

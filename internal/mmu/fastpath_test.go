@@ -240,3 +240,63 @@ func TestTLBSubsetOfPT(t *testing.T) {
 	as.FlushRange(0, 0xFFFF_F000)
 	check("after huge flush")
 }
+
+// TestPresentMatchesPageTable: Present may answer from the TLB, so it must
+// agree with the page table for every page and access through TLB fills,
+// dirty-tracking write masks, protection changes, flushes and unmaps —
+// with fast paths on and off — and, being a probe, must count no faults
+// and leave the TLB as it found it.
+func TestPresentMatchesPageTable(t *testing.T) {
+	const base, pages = 0x10000, 8
+	for _, fast := range []bool{true, false} {
+		as := newAS(t)
+		as.SetFastPaths(fast)
+		r, m := mapZero(t, as, base, pages*mem.PageSize, PermRW)
+		check := func(when string) {
+			t.Helper()
+			faults := as.Faults
+			tlb := append([]tlbEntry(nil), as.tlb...)
+			for p := uint32(0); p < pages+1; p++ { // one page past the mapping too
+				va := base + p*mem.PageSize + 8
+				for _, acc := range []cpu.Access{cpu.Read, cpu.Write, cpu.Exec} {
+					e, ok := as.pt[mem.VPN(va)]
+					want := ok && e.perm&needs(acc) != 0
+					if got := as.Present(va, acc); got != want {
+						t.Fatalf("fast=%v %s: Present(%#x, %v) = %v, page table says %v", fast, when, va, acc, got, want)
+					}
+				}
+			}
+			if as.Faults != faults {
+				t.Fatalf("fast=%v %s: Present counted faults", fast, when)
+			}
+			for i := range tlb {
+				if tlb[i] != as.tlb[i] {
+					t.Fatalf("fast=%v %s: Present changed TLB slot %d", fast, when, i)
+				}
+			}
+		}
+		check("empty")
+		for p := uint32(0); p < pages; p += 2 {
+			touchStore32(t, as, base+p*mem.PageSize, p)
+		}
+		check("after touch")
+		r.StartDirtyTracking()
+		if _, f := as.Load32(base); f != nil { // refill an armed page: TLB write bit masked
+			t.Fatal(f)
+		}
+		check("dirty tracking armed")
+		as.FlushPage(base + 2*mem.PageSize)
+		check("after FlushPage")
+		as.SetProtection(m, PermRead)
+		check("after SetProtection")
+		if err := as.ResolveSoft(base, cpu.Read); err != nil {
+			t.Fatal(err)
+		}
+		if _, f := as.Load32(base); f != nil {
+			t.Fatal(f)
+		}
+		check("read-only refill")
+		as.Unmap(m)
+		check("after Unmap")
+	}
+}

@@ -594,8 +594,15 @@ func (as *AddrSpace) SetFastPaths(on bool) {
 }
 
 // Present reports whether the page containing va has a PTE granting acc.
+// The TLB is a strict subset of pt, so a hit there answers without the map
+// lookup; like probe it counts no Faults and changes no cache state, and
+// with fast paths disabled the TLB is empty and every call reads pt.
 func (as *AddrSpace) Present(va uint32, acc cpu.Access) bool {
-	e, ok := as.pt[mem.VPN(va)]
+	vpn := mem.VPN(va)
+	if e := &as.tlb[vpn&as.tlbMask]; e.vpn == vpn && e.perm&needs(acc) != 0 {
+		return true
+	}
+	e, ok := as.pt[vpn]
 	return ok && e.perm&needs(acc) != 0
 }
 

@@ -332,7 +332,7 @@ func BenchmarkIPCRoundTrip(b *testing.B) {
 func BenchmarkIPCScaling(b *testing.B) {
 	sc := experiments.FastScalingScale()
 	base := map[core.LockModel]float64{}
-	for _, lm := range []core.LockModel{core.LockBig, core.LockPerSubsystem} {
+	for _, lm := range []core.LockModel{core.LockBig, core.LockFine} {
 		for _, n := range []int{1, 2, 4} {
 			lm, n := lm, n
 			b.Run(fmt.Sprintf("cpus=%d/%s", n, lm), func(b *testing.B) {

@@ -47,7 +47,7 @@ func main() {
 	ablate := flag.Bool("ablate", false, "run only the preemption-parameter ablations")
 	driver := flag.Bool("driver", false, "run only the driver-latency extension experiment")
 	scaling := flag.Bool("scaling", false, "run only the multiprocessor IPC-scaling matrix")
-	crossover := flag.Bool("crossover", false, "run only the 1-64 CPU lock-model crossover sweep (big vs persub vs fine)")
+	crossover := flag.Bool("crossover", false, "run only the 1-64 CPU lock-model crossover sweep (big vs fine)")
 	scale := flag.Int("scale", 64, "largest CPU count in the crossover sweep (CI smoke caps this)")
 	bandwidth := flag.Bool("bandwidth", false, "run only the bulk-IPC bandwidth sweep (zero-copy vs copy)")
 	critpath := flag.Bool("critpath", false, "run only the causal critical-path decomposition (null-RPC and bulk transfers, hop by hop)")
@@ -169,7 +169,7 @@ func main() {
 			if err != nil {
 				fail(err)
 			}
-			matrix("process", "none", "1,2,4", "big,persub")
+			matrix("process", "none", "1,2,4", "big,fine")
 			fmt.Println(experiments.BandwidthRender(rows))
 		})
 	}
@@ -224,7 +224,7 @@ func main() {
 			if err != nil {
 				fail(err)
 			}
-			matrix("interrupt", "partial", "1..64", "big,persub,fine")
+			matrix("interrupt", "partial", "1..64", "big,fine")
 			fmt.Println(experiments.LockCrossoverRender(rows))
 		})
 	}
@@ -234,11 +234,11 @@ func main() {
 			if *fast {
 				sc = experiments.FastNetloadScale()
 			}
-			rep, err := experiments.Netload(sc, experiments.NetloadCPUs, experiments.NetloadLockModels)
+			rep, err := experiments.Netload(sc, experiments.NetloadCPUs, experiments.LockModels)
 			if err != nil {
 				fail(err)
 			}
-			matrix("interrupt", "partial", "1,2,4", "big,persub,fine")
+			matrix("interrupt", "partial", "1,2,4", "big,fine")
 			fmt.Println(experiments.NetloadRender(rep))
 		})
 	}
@@ -262,7 +262,7 @@ func main() {
 			if err != nil {
 				fail(err)
 			}
-			matrix("interrupt", "partial", "1,2,4", "big,persub")
+			matrix("interrupt", "partial", "1,2,4", "big,fine")
 			fmt.Println(experiments.IPCScalingRender(rows))
 		})
 	}

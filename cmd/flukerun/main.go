@@ -40,11 +40,10 @@ func main() {
 	metricsFlag := flag.Bool("metrics", false, "attach the kernel metrics registry and print its snapshot")
 	traceOut := flag.String("trace-out", "", "write the kernel trace as Perfetto/Chrome trace_event JSON to FILE")
 	cpus := flag.Int("cpus", 1, "number of simulated CPUs")
-	lockmodel := flag.String("lockmodel", "big", "kernel lock model: big | persub | fine")
+	lockmodel := flag.String("lockmodel", "big", "kernel lock model: big | fine")
 	noFastpath := flag.Bool("no-ipc-fastpath", false, "disable the IPC direct-handoff fast path")
 	noZeroCopy := flag.Bool("no-zerocopy", false, "disable zero-copy bulk IPC (copy-on-write frame sharing)")
 	noNICCoalesce := flag.Bool("no-nic-coalesce", false, "disable NIC interrupt coalescing (one interrupt per received frame)")
-	noThreaded := flag.Bool("no-threaded-code", false, "disable the threaded-code interpreter tier (fused superinstruction blocks)")
 	tlbSize := flag.Int("tlbsize", 0, "software TLB entries per address space (0 = default 256, rounded up to a power of two)")
 	traceRing := flag.Int("trace-ring", 1<<18, "trace ring capacity in events (for -trace-out, -spans, and -listen; older events drop once it wraps)")
 	profileOut := flag.String("profile-out", "", "enable the cycle profiler and write its pprof protobuf to FILE (go tool pprof FILE)")
@@ -56,7 +55,7 @@ func main() {
 
 	cfg := core.Config{
 		NumCPUs: *cpus, DisableIPCFastPath: *noFastpath,
-		DisableZeroCopy: *noZeroCopy, DisableThreadedCode: *noThreaded,
+		DisableZeroCopy:    *noZeroCopy,
 		DisableNICCoalesce: *noNICCoalesce,
 		TLBSize:            *tlbSize,
 		EnableProfiler:     *profileOut != "" || *profileFolded != "" || *listen != "",

@@ -104,7 +104,7 @@ func deltaChain(t *testing.T, cfg core.Config, rounds int, cutA, cutB, cutC uint
 // image a plain Capture takes at the same point — same page bytes, same
 // COW sharing structure — and the restored runs must be byte- and
 // stats-identical. Swept across the five paper configurations crossed
-// with the three lock models (at 1, 2, and 4 CPUs).
+// with both lock models (big at 1 and 2 CPUs, fine at 4).
 func TestDeltaEquivalence(t *testing.T) {
 	const rounds = 10
 	const cutA, cutB, cutC = 250_000, 600_000, 1_100_000
@@ -113,7 +113,7 @@ func TestDeltaEquivalence(t *testing.T) {
 		cpus int
 	}{
 		{core.LockBig, 1},
-		{core.LockPerSubsystem, 2},
+		{core.LockBig, 2},
 		{core.LockFine, 4},
 	}
 	for _, base := range core.Configurations() {

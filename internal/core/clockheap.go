@@ -1,7 +1,7 @@
 package core
 
 // The deterministic interleaver's CPU chooser. PR 3's linear min-clock
-// scan (chooseCPUScan, kept below as the reference implementation) is
+// scan (chooseCPUScan, kept in clockheap_test.go as the oracle) is
 // O(n) per dispatch episode, which at 64 CPUs puts the scheduler loop
 // itself on the critical path. The heap keeps the CPUs ordered by
 // (local clock, CPU index); between two picks only the acting CPU's

@@ -61,3 +61,26 @@ func TestClockHeapMatchesScan(t *testing.T) {
 		}
 	}
 }
+
+// chooseCPUScan is the O(n) reference chooser the clock heap replaced:
+// smallest local virtual time, ties preferring a CPU with queued runnable
+// work, then one with a pending timer, then the lowest index. Total order
+// over kernel state ⇒ the interleaving is a pure function of the initial
+// state.
+func (k *Kernel) chooseCPUScan() *CPU {
+	best := k.cpus[0]
+	bestClass := cpuClass(best)
+	for _, c := range k.cpus[1:] {
+		cn, bn := c.clk.Now(), best.clk.Now()
+		if cn < bn {
+			best, bestClass = c, cpuClass(c)
+			continue
+		}
+		if cn == bn {
+			if cl := cpuClass(c); cl < bestClass {
+				best, bestClass = c, cl
+			}
+		}
+	}
+	return best
+}

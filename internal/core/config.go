@@ -83,16 +83,13 @@ const (
 	// (syscall, fault, scheduler) and held for the whole kernel episode:
 	// kernel execution is serialized across CPUs.
 	LockBig LockModel = iota
-	// LockPerSubsystem uses separate scheduler, object-space, and MMU
-	// locks, held only around the matching subsystem's work; the IPC bulk
-	// copy runs with the object-space lock released.
-	LockPerSubsystem
-	// LockFine splits the subsystem locks into instances: one scheduler
-	// lock per run queue and one object-space/MMU lock pair per space, so
-	// kernel episodes touching disjoint CPUs and spaces never contend.
-	// Cross-queue operations (steals, remote enqueues) take the target
-	// queue's lock. In ParallelHost mode this model also shards the host
-	// gate (see parallel.go).
+	// LockFine uses separate scheduler, object-space, and MMU locks, held
+	// only around the matching subsystem's work (the IPC bulk copy runs
+	// with the object-space lock released), and splits them into
+	// instances: one scheduler lock per run queue and one
+	// object-space/MMU lock pair per space, so kernel episodes touching
+	// disjoint CPUs and spaces never contend. Cross-queue operations
+	// (steals, remote enqueues) take the target queue's lock.
 	LockFine
 )
 
@@ -100,8 +97,6 @@ func (m LockModel) String() string {
 	switch m {
 	case LockBig:
 		return "big"
-	case LockPerSubsystem:
-		return "persub"
 	case LockFine:
 		return "fine"
 	}
@@ -113,12 +108,10 @@ func ParseLockModel(s string) (LockModel, error) {
 	switch s {
 	case "big":
 		return LockBig, nil
-	case "persub":
-		return LockPerSubsystem, nil
 	case "fine":
 		return LockFine, nil
 	}
-	return 0, fmt.Errorf("core: unknown lock model %q (want big, persub, or fine)", s)
+	return 0, fmt.Errorf("core: unknown lock model %q (want big or fine)", s)
 }
 
 // MaxCPUs bounds Config.NumCPUs.
@@ -287,7 +280,7 @@ func (c Config) Validate() error {
 	if c.NumCPUs < 0 || c.NumCPUs > MaxCPUs {
 		return fmt.Errorf("core: NumCPUs %d out of range [0,%d]", c.NumCPUs, MaxCPUs)
 	}
-	if c.LockModel != LockBig && c.LockModel != LockPerSubsystem && c.LockModel != LockFine {
+	if c.LockModel != LockBig && c.LockModel != LockFine {
 		return fmt.Errorf("core: unknown lock model %d", c.LockModel)
 	}
 	if c.ParallelHost && c.Model != ModelInterrupt {

@@ -110,8 +110,8 @@ func (k *Kernel) Stats() Stats {
 // allocations on every poll (pinned by TestStatsIntoAllocs).
 func (k *Kernel) StatsInto(out *Stats) {
 	if k.par != nil {
-		k.snapLock()
-		defer k.snapUnlock()
+		k.par.kmu.Lock()
+		defer k.par.kmu.Unlock()
 	}
 	faultCount, faultRemedy, faultRollback := out.FaultCount, out.FaultRemedy, out.FaultRollback
 	if faultCount == nil {

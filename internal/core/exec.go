@@ -566,8 +566,8 @@ func (k *Kernel) doSyscall(t *obj.Thread, num int, fromUser bool) bool {
 	// resets at KOK/KIntr completion below.
 	t.CurSys = int16(num)
 	c.inHandler = true
-	// Kernel entry takes the syscall-side lock: the object-space lock
-	// under per-subsystem locking, the big kernel lock under LockBig.
+	// Kernel entry takes the syscall-side lock: the space's object lock
+	// under LockFine, the big kernel lock under LockBig.
 	k.lockAcquire(c, lockObj)
 	oldTag := profTag(t, profile.PathSyscallEntry)
 	k.ChargeKernel(entry)

@@ -34,7 +34,7 @@ func TestUniprocessorNeverScansLockRing(t *testing.T) {
 		return k.LockScans(), acquires
 	}
 	for _, cfg := range core.Configurations() {
-		for _, lm := range []core.LockModel{core.LockBig, core.LockPerSubsystem, core.LockFine} {
+		for _, lm := range lockModels {
 			cfg := cfg
 			cfg.NumCPUs, cfg.LockModel = 1, lm
 			t.Run(fmt.Sprintf("%s/lockmodel=%v", cfg.Name(), lm), func(t *testing.T) {

@@ -42,15 +42,15 @@ func (k *Kernel) CopyWords(src, dst *obj.Thread) sys.KErr {
 	// Data is about to flow src → dst: propagate the causal span before
 	// any transfer so even a zero-length rendezvous records the hop.
 	k.spanTouch(src, dst, trace.FlowCopy)
-	// Under per-subsystem and fine locking the bulk copy runs outside the
-	// object-space lock — data transfer touches only the two buffers, so
-	// concurrent CPUs can overlap their copies (this is where those
-	// models earn their scaling). The lock is retaken before returning to
-	// the handler on the success path; fault and preemption exits leave
-	// it released, and the restart reacquires at kernel entry. The slot
-	// is resolved once up front: under the fine model it is the calling
-	// thread's space instance, and the reacquire must hit that same
-	// instance even if the thread migrates mid-copy.
+	// Under fine locking the bulk copy runs outside the object-space
+	// lock — data transfer touches only the two buffers, so concurrent
+	// CPUs can overlap their copies (this is where the model earns its
+	// scaling). The lock is retaken before returning to the handler on
+	// the success path; fault and preemption exits leave it released, and
+	// the restart reacquires at kernel entry. The slot is resolved once
+	// up front: it is the calling thread's space instance, and the
+	// reacquire must hit that same instance even if the thread migrates
+	// mid-copy.
 	var objHeld int16
 	objSlot := -1
 	if k.cfg.LockModel != LockBig {

@@ -227,9 +227,8 @@ func New(cfg Config) *Kernel {
 		// per RunUntil call) so observation snapshots — Stats(),
 		// ProfileSnapshot() — can lock it and read live state race-free.
 		// Matches RunUntil's runParallel condition exactly: at one CPU the
-		// serial loop runs and k.par must stay nil. The fine lock model
-		// selects the sharded gate (per-CPU shards + shared kernel mutex).
-		k.par = newParState(cfg.NumCPUs, cfg.LockModel == LockFine)
+		// serial loop runs and k.par must stay nil.
+		k.par = newParState(cfg.NumCPUs)
 	}
 	k.initLockTable()
 	k.registerHandlers()

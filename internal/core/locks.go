@@ -41,10 +41,9 @@ package core
 // In ParallelHost mode the host gate (parallel.go) serializes kernel
 // sections, so the virtual spin waits are disabled (wall-clock
 // interleaving, not virtual-time modeling, decides contention there); the
-// hold/acquire counters still run. Under the sharded gate (fine model)
-// the per-queue slot counters are owner-CPU state updated outside the
-// shared kernel mutex, so the non-atomic Metrics registry is skipped for
-// lock events in that mode.
+// hold/acquire counters and the lock.* metrics still run — every lock
+// acquire and release happens inside a kernel section, under the gate's
+// kernel mutex.
 
 import (
 	"repro/internal/obj"
@@ -107,8 +106,7 @@ type holdSpan struct {
 
 // vlock is one virtual lock slot: a ring of its recent hold intervals
 // plus contention counters. Access is serialized by the deterministic
-// scheduler loop, by the ParallelHost gate, or — for a fine-model queue
-// slot under the sharded gate — by the owning CPU's gate shard.
+// scheduler loop or by the ParallelHost gate's kernel mutex.
 //
 // Intervals — not just the last release time — matter because the serial
 // interleaver is coarse: one dispatch can run a CPU's clock far ahead of
@@ -203,9 +201,8 @@ func (k *Kernel) initLockTable() {
 
 // addLockSlot appends one lock instance of the given kind, growing every
 // CPU's hold-tracking arrays to match. Growing mid-run is safe in the
-// deterministic modes (single-threaded); the sharded ParallelHost gate
-// never grows the table after New (it uses the fixed obj/mmu slots — see
-// fineSpaceLocks).
+// deterministic modes (single-threaded); ParallelHost never grows the
+// table after New (it uses the fixed obj/mmu slots — see fineSpaceLocks).
 func (k *Kernel) addLockSlot(kind lockID, name string, ring int) int {
 	slot := len(k.vlocks)
 	k.vlocks = append(k.vlocks, vlock{spans: make([]holdSpan, ring)})
@@ -221,11 +218,11 @@ func (k *Kernel) addLockSlot(kind lockID, name string, ring int) int {
 }
 
 // fineSpaceLocks reports whether spaces get their own obj/mmu lock
-// instances: fine model, deterministic mode only. The sharded
-// ParallelHost gate keeps the lock table fixed after New — per-space
-// slots would grow every CPU's hold arrays while other host goroutines
-// read them — and host-level concurrency, not the virtual-time model,
-// decides contention there anyway.
+// instances: fine model, deterministic mode only. ParallelHost keeps
+// the lock table fixed after New — per-space slots would grow every
+// CPU's hold arrays while other host goroutines read them — and
+// host-level concurrency, not the virtual-time model, decides contention
+// there anyway.
 func (k *Kernel) fineSpaceLocks() bool {
 	return k.cfg.LockModel == LockFine && k.par == nil
 }
@@ -248,8 +245,8 @@ func itoa(n int) string {
 
 // LockStats returns the per-kind acquire/contention counters in
 // LockKindNames order. Under LockBig only the "big" row moves; under
-// LockPerSubsystem the "big" row stays zero; under LockFine each row sums
-// that kind's instances (per-queue, per-space).
+// LockFine the "big" row stays zero and each other row sums that kind's
+// instances (per-queue, per-space).
 func (k *Kernel) LockStats() [NumLockKinds]LockStat {
 	var out [NumLockKinds]LockStat
 	for i := range out {
@@ -290,37 +287,30 @@ func (k *Kernel) FineLockStats() []LockStat {
 // current thread's space instances; paths that act on *another* queue or
 // space resolve explicitly (runqSlot, spaceObjSlot, spaceMMUSlot).
 func (k *Kernel) slotForID(c *CPU, id lockID) int {
-	switch k.cfg.LockModel {
-	case LockBig:
+	if k.cfg.LockModel == LockBig {
 		return slotBig
-	case LockFine:
-		switch id {
-		case lockSched:
-			return numFixedSlots + c.id
-		case lockObj:
-			if t := c.current; t != nil {
-				return k.spaceObjSlot(t.Space)
-			}
-		case lockMMU:
-			if t := c.current; t != nil {
-				return k.spaceMMUSlot(t.Space)
-			}
-		}
-		return int(id)
-	default:
-		return int(id)
 	}
+	switch id {
+	case lockSched:
+		return numFixedSlots + c.id
+	case lockObj:
+		if t := c.current; t != nil {
+			return k.spaceObjSlot(t.Space)
+		}
+	case lockMMU:
+		if t := c.current; t != nil {
+			return k.spaceMMUSlot(t.Space)
+		}
+	}
+	return int(id)
 }
 
 // runqSlot returns the lock slot guarding CPU cpuID's run queue.
 func (k *Kernel) runqSlot(cpuID int) int {
-	if k.cfg.LockModel == LockFine {
-		return numFixedSlots + cpuID
-	}
 	if k.cfg.LockModel == LockBig {
 		return slotBig
 	}
-	return slotSched
+	return numFixedSlots + cpuID
 }
 
 // spaceObjSlot returns the object-space lock slot for s.
@@ -328,7 +318,7 @@ func (k *Kernel) spaceObjSlot(s *obj.Space) int {
 	if k.cfg.LockModel == LockBig {
 		return slotBig
 	}
-	if k.cfg.LockModel == LockFine && s != nil && s.LockSlot != 0 {
+	if s != nil && s.LockSlot != 0 {
 		return s.LockSlot
 	}
 	return slotObj
@@ -339,7 +329,7 @@ func (k *Kernel) spaceMMUSlot(s *obj.Space) int {
 	if k.cfg.LockModel == LockBig {
 		return slotBig
 	}
-	if k.cfg.LockModel == LockFine && s != nil && s.LockSlot != 0 {
+	if s != nil && s.LockSlot != 0 {
 		return s.LockSlot + 1
 	}
 	return slotMMU
@@ -360,7 +350,7 @@ func (k *Kernel) lockAcquireSlot(c *CPU, slot int) {
 	vl := &k.vlocks[slot]
 	vl.acquires++
 	kind := k.lockKinds[slot]
-	if k.Metrics != nil && !k.shardedPar() {
+	if k.Metrics != nil {
 		k.Metrics.LockAcquires[kind].Inc()
 	}
 	if k.par == nil {
@@ -394,7 +384,7 @@ func (k *Kernel) lockReleaseSlot(c *CPU, slot int) {
 		return
 	}
 	now := c.clk.Now()
-	if k.Metrics != nil && !k.shardedPar() {
+	if k.Metrics != nil {
 		k.Metrics.LockHoldCycles[k.lockKinds[slot]].Observe(now - c.lockSince[slot])
 	}
 	// Publish this hold so later (possibly clock-behind) acquirers spin

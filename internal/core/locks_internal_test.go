@@ -152,7 +152,7 @@ func checkClearUntil(t *testing.T, ncpus, ring int, seed int64) {
 // LIFO pop: releasing the bottom or the middle slot first leaves exactly
 // the other slots held, in acquire order.
 func TestLockReleaseOutOfOrder(t *testing.T) {
-	k := New(Config{Model: ModelInterrupt, NumCPUs: 2, LockModel: LockPerSubsystem})
+	k := New(Config{Model: ModelInterrupt, NumCPUs: 2, LockModel: LockFine})
 	defer k.Shutdown()
 	c := k.cpus[0]
 	heldAfter := func(release int, want ...int32) {

@@ -101,10 +101,10 @@ type KernelMetrics struct {
 	ThreadsCreated *metrics.Counter
 
 	// Lock-model instruments, one per lock kind (LockKindNames order).
-	// Under LockBig everything maps to the "big" slot; under
-	// LockPerSubsystem the sched/obj/mmu slots are live. Contention is
-	// virtual-time contention: an acquire that found the lock's
-	// busy-until point ahead of the acquiring CPU's clock.
+	// Under LockBig everything maps to the "big" slot; under LockFine
+	// the sched/obj/mmu kinds are live. Contention is virtual-time
+	// contention: an acquire that found the lock's busy-until point ahead
+	// of the acquiring CPU's clock.
 	LockAcquires   [NumLockKinds]*metrics.Counter
 	LockContended  [NumLockKinds]*metrics.Counter
 	LockWaitCycles [NumLockKinds]*metrics.Counter

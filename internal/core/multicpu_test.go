@@ -25,7 +25,7 @@ import (
 )
 
 // lockModels spans the pluggable locking models.
-var lockModels = []core.LockModel{core.LockBig, core.LockPerSubsystem, core.LockFine}
+var lockModels = []core.LockModel{core.LockBig, core.LockFine}
 
 // TestUniprocessorLockModelsBitIdentical pins the acceptance criterion
 // that one simulated CPU under either lock model is bit-identical — final
@@ -119,7 +119,7 @@ func TestMultiCPUDeterministic(t *testing.T) {
 // and the per-CPU shards must sum to the merged Stats.
 func TestMultiCPUWorkConserving(t *testing.T) {
 	cfg := core.Config{Model: core.ModelInterrupt, Preempt: core.PreemptPartial,
-		NumCPUs: 4, LockModel: core.LockPerSubsystem}
+		NumCPUs: 4, LockModel: core.LockFine}
 	e := newEnv(t, cfg)
 	b := prog.New(codeBase)
 	b.Label("spin")
@@ -231,9 +231,18 @@ func bindPairIPC(t *testing.T, k *core.Kernel, server, client *obj.Space) {
 	}
 }
 
-// runParallelPairs builds `pairs` disjoint echo-RPC client/server space
-// pairs plus one compute space, runs them under ParallelHost, and checks
-// every client observed correct replies.
+// parPairs is the ParallelHost workload: disjoint echo-RPC client/server
+// space pairs plus one compute space, built but not yet run.
+type parPairs struct {
+	k            *core.Kernel
+	rpcs         int
+	clients      []*obj.Thread
+	clientSpaces []*parSpace
+	compute      *obj.Thread
+}
+
+// runParallelPairs builds `pairs` pairs, runs them under ParallelHost, and
+// checks every client observed correct replies.
 func runParallelPairs(t *testing.T, cfg core.Config, pairs, rpcs int) *core.Kernel {
 	return runParallelPairsHook(t, cfg, pairs, rpcs, nil)
 }
@@ -244,13 +253,30 @@ func runParallelPairs(t *testing.T, cfg core.Config, pairs, rpcs int) *core.Kern
 // kernel from another goroutine while the CPU goroutines step.
 func runParallelPairsHook(t *testing.T, cfg core.Config, pairs, rpcs int, hook func(*core.Kernel) func()) *core.Kernel {
 	t.Helper()
+	p := buildParallelPairs(t, cfg, pairs, rpcs)
+	var stop func()
+	if hook != nil {
+		stop = hook(p.k)
+	}
+	p.k.RunFor(8_000_000_000)
+	if stop != nil {
+		stop()
+	}
+	p.check(t)
+	return p.k
+}
+
+// parDone is where each client (and the compute thread) stores its result.
+const parDone = dataBase + 0x300
+
+func buildParallelPairs(t *testing.T, cfg core.Config, pairs, rpcs int) *parPairs {
+	t.Helper()
 	k := core.New(cfg)
 
 	const (
 		ebuf = dataBase + 0x3000
 		sbuf = dataBase + 0x100
 		rbuf = dataBase + 0x200
-		done = dataBase + 0x300
 	)
 	srv := prog.New(codeBase)
 	srv.Label("echo").
@@ -271,7 +297,7 @@ func runParallelPairsHook(t *testing.T, cfg core.Config, pairs, rpcs int, hook f
 			// Accumulate the replies so the final word checks them all.
 			Movi(4, rbuf).Ld(5, 4, 0).Add(6, 6, 5)
 	}
-	cli.Movi(4, done).St(4, 0, 6).Halt()
+	cli.Movi(4, parDone).St(4, 0, 6).Halt()
 	cliImg := cli.MustAssemble()
 
 	comp := prog.New(codeBase)
@@ -279,12 +305,11 @@ func runParallelPairsHook(t *testing.T, cfg core.Config, pairs, rpcs int, hook f
 	for i := 0; i < 256; i++ {
 		comp.Addi(6, 6, 3)
 	}
-	comp.Movi(4, done).St(4, 0, 6).Halt()
+	comp.Movi(4, parDone).St(4, 0, 6).Halt()
 	compImg := comp.MustAssemble()
 
-	var clients []*obj.Thread
-	var clientSpaces []*parSpace
-	for p := 0; p < pairs; p++ {
+	p := &parPairs{k: k, rpcs: rpcs}
+	for i := 0; i < pairs; i++ {
 		se := newParSpace(t, k)
 		ce := newParSpace(t, k)
 		bindPairIPC(t, k, se.s, ce.s)
@@ -300,8 +325,8 @@ func runParallelPairsHook(t *testing.T, cfg core.Config, pairs, rpcs int, hook f
 		ct := k.NewThread(ce.s, 10)
 		ct.Regs.PC = cli.Addr("cli")
 		k.StartThread(ct)
-		clients = append(clients, ct)
-		clientSpaces = append(clientSpaces, ce)
+		p.clients = append(p.clients, ct)
+		p.clientSpaces = append(p.clientSpaces, ce)
 	}
 	we := newParSpace(t, k)
 	if _, err := k.LoadImage(we.s, codeBase, compImg); err != nil {
@@ -310,25 +335,32 @@ func runParallelPairsHook(t *testing.T, cfg core.Config, pairs, rpcs int, hook f
 	wt := k.NewThread(we.s, 10)
 	wt.Regs.PC = comp.Addr("spin")
 	k.StartThread(wt)
+	p.compute = wt
+	return p
+}
 
-	var stop func()
-	if hook != nil {
-		stop = hook(k)
+// finished reports whether every thread of the workload has exited.
+func (p *parPairs) finished() bool {
+	for _, ct := range p.clients {
+		if !ct.Exited {
+			return false
+		}
 	}
-	k.RunFor(8_000_000_000)
-	if stop != nil {
-		stop()
-	}
+	return p.compute.Exited
+}
 
+// check verifies every client exited having accumulated every reply.
+func (p *parPairs) check(t *testing.T) {
+	t.Helper()
 	var want uint32
-	for i := 0; i < rpcs; i++ {
+	for i := 0; i < p.rpcs; i++ {
 		want += 2 * uint32(1000*i+7)
 	}
-	for i, ct := range clients {
+	for i, ct := range p.clients {
 		if !ct.Exited {
 			t.Fatalf("pair %d: client did not exit (state=%v pc=%#x)", i, ct.State, ct.Regs.PC)
 		}
-		b, err := k.ReadMem(clientSpaces[i].s, done, 4)
+		b, err := p.k.ReadMem(p.clientSpaces[i].s, parDone, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,10 +369,9 @@ func runParallelPairsHook(t *testing.T, cfg core.Config, pairs, rpcs int, hook f
 			t.Fatalf("pair %d: reply accumulator = %d, want %d", i, got, want)
 		}
 	}
-	if !wt.Exited {
+	if !p.compute.Exited {
 		t.Fatal("compute thread did not exit")
 	}
-	return k
 }
 
 // TestParallelHostIPCPairs runs disjoint IPC pairs on 4 CPUs with one
@@ -362,6 +393,64 @@ func TestParallelHostIPCPairs(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// parHostConfig is the 4-CPU ParallelHost configuration the pairs tests
+// share.
+func parHostConfig(lm core.LockModel) core.Config {
+	return core.Config{
+		Model: core.ModelInterrupt, Preempt: core.PreemptPartial,
+		NumCPUs: 4, LockModel: lm, ParallelHost: true,
+	}
+}
+
+// TestParallelHostStopResume runs the pairs workload in many short RunFor
+// slices. Cross-CPU wakes, removals and kicks travel through mailboxes
+// under both lock models, so a stop() that lands between a post and its
+// drain must leave the operation pending for the next run: a lost wake
+// strands a client and a reply goes missing.
+func TestParallelHostStopResume(t *testing.T) {
+	const slice, minSlices, maxSlices = 500, 50, 100_000
+	for _, lm := range lockModels {
+		t.Run(fmt.Sprintf("lockmodel=%v", lm), func(t *testing.T) {
+			p := buildParallelPairs(t, parHostConfig(lm), 3, 128)
+			slices := 0
+			for ; !p.finished() && slices < maxSlices; slices++ {
+				p.k.RunFor(slice)
+			}
+			p.check(t)
+			if slices < minSlices {
+				t.Fatalf("workload finished in %d slices, want >= %d stop/resume points", slices, minSlices)
+			}
+		})
+	}
+}
+
+// TestParallelHostLockMetricsMatchLockStats pins that the lock.* metrics
+// count every virtual-lock acquire under ParallelHost: all of them happen
+// inside kernel sections, so the registry sees exactly what LockStats
+// does, under both lock models.
+func TestParallelHostLockMetricsMatchLockStats(t *testing.T) {
+	for _, lm := range lockModels {
+		t.Run(fmt.Sprintf("lockmodel=%v", lm), func(t *testing.T) {
+			p := buildParallelPairs(t, parHostConfig(lm), 3, 16)
+			m := p.k.EnableMetrics()
+			var setup uint64 // StartThread enqueues, before the registry existed
+			for _, ls := range p.k.LockStats() {
+				setup += ls.Acquires
+			}
+			p.k.RunFor(8_000_000_000)
+			p.check(t)
+			var fromMetrics, fromStats uint64
+			for i, ls := range p.k.LockStats() {
+				fromStats += ls.Acquires
+				fromMetrics += m.LockAcquires[i].Value()
+			}
+			if fromStats -= setup; fromStats == 0 || fromMetrics != fromStats {
+				t.Fatalf("lock.*.acquires sum to %d, LockStats to %d", fromMetrics, fromStats)
+			}
+		})
 	}
 }
 
@@ -438,11 +527,8 @@ func TestParallelHostSnapshotsDuringRun(t *testing.T) {
 	for _, lm := range lockModels {
 		lm := lm
 		t.Run(fmt.Sprintf("lockmodel=%v", lm), func(t *testing.T) {
-			cfg := core.Config{
-				Model: core.ModelInterrupt, Preempt: core.PreemptPartial,
-				NumCPUs: 4, LockModel: lm, ParallelHost: true,
-				EnableProfiler: true,
-			}
+			cfg := parHostConfig(lm)
+			cfg.EnableProfiler = true
 			var snaps atomic.Int64
 			hook := snapshotObserver(t, &snaps, func(k *core.Kernel) (uint64, uint64) {
 				return k.Stats().TotalCycles(), k.ProfileSnapshot().TotalCycles()
@@ -453,14 +539,13 @@ func TestParallelHostSnapshotsDuringRun(t *testing.T) {
 	}
 }
 
-// TestParallelHostFineSnapshotsDuringRun is the sharded-gate version of
-// the snapshot test at the full 64-CPU count: under the fine lock model
-// the ParallelHost gate splits into per-CPU shards plus a shared kernel
-// mutex, and cross-CPU wakes travel through mailboxes. Snapshots must
-// still see consistent, monotone totals, and the double-entry cycle
-// invariant must hold at quiescence. Under -race, with 64 CPU goroutines
-// plus a snapshot goroutine, it is the stress test for the
-// shard/kmu/mailbox ordering.
+// TestParallelHostFineSnapshotsDuringRun is the snapshot test at the
+// full 64-CPU count: the ParallelHost gate is per-CPU shards plus a
+// shared kernel mutex, and cross-CPU wakes travel through mailboxes.
+// Snapshots must still see consistent, monotone totals, and the
+// double-entry cycle invariant must hold at quiescence. Under -race, with
+// 64 CPU goroutines plus a snapshot goroutine, it is the stress test for
+// the shard/kmu/mailbox ordering.
 func TestParallelHostFineSnapshotsDuringRun(t *testing.T) {
 	cfg := core.Config{
 		Model: core.ModelInterrupt, Preempt: core.PreemptPartial,
@@ -532,6 +617,31 @@ func BenchmarkStatsSnapshot(b *testing.B) {
 			k.StatsInto(&buf)
 		}
 	})
+}
+
+// TestLockModelIsTwoValued pins the lock-model axis: big and fine parse
+// and validate, and the deleted per-subsystem model is rejected by name
+// and by value with an error that says what is accepted.
+func TestLockModelIsTwoValued(t *testing.T) {
+	for _, lm := range lockModels {
+		got, err := core.ParseLockModel(lm.String())
+		if err != nil || got != lm {
+			t.Fatalf("ParseLockModel(%q) = %v, %v", lm.String(), got, err)
+		}
+		if err := (core.Config{LockModel: lm}).Validate(); err != nil {
+			t.Fatalf("LockModel %v rejected: %v", lm, err)
+		}
+	}
+	_, err := core.ParseLockModel("persub")
+	if err == nil {
+		t.Fatal(`ParseLockModel("persub") accepted`)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "big") || !strings.Contains(msg, "fine") {
+		t.Fatalf("parse error %q does not name the accepted models", msg)
+	}
+	if err := (core.Config{LockModel: 2}).Validate(); err == nil {
+		t.Fatal("Config{LockModel: 2} accepted")
+	}
 }
 
 // TestParallelHostRequiresInterruptModel pins the config validation.

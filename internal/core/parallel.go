@@ -10,14 +10,11 @@ import (
 // ParallelHost execution (Config.ParallelHost): one host goroutine per
 // simulated CPU, giving real host parallelism for the user-mode batches.
 //
-// Under the big and per-subsystem lock models all kernel sections run
-// under a single gate mutex — the host analogue of a kernel lock — so
-// kernel state needs no finer-grained host locking; the only code outside
-// the gate is cpu.StepN on a space's memory, guarded by that space's
-// StepMu (exec.go stepUser). Threads are pinned to their space's home CPU
-// (no stealing), so one space's threads never step concurrently.
-//
-// The fine lock model (Config.LockModel == LockFine) shards the gate:
+// The only code that runs outside a kernel section is cpu.StepN on a
+// space's memory, guarded by that space's StepMu (exec.go stepUser).
+// Threads are pinned to their space's home CPU (no stealing), so one
+// space's threads never step concurrently. The gate that serializes
+// everything else is the same for both lock models:
 //
 //   - shards[i]   per-CPU gate shard. Owns CPU i's run queue, resched
 //     flag, and mailbox application. Only CPU i's goroutine takes its own
@@ -53,12 +50,10 @@ type parState struct {
 	idle int
 	done bool
 
-	// Sharded gate (fine lock model only).
-	sharded bool
-	shards  []sync.Mutex
-	kmu     sync.Mutex
-	qmu     []sync.Mutex
-	mail    []cpuMail
+	shards []sync.Mutex
+	kmu    sync.Mutex
+	qmu    []sync.Mutex
+	mail   []cpuMail
 }
 
 // mailOp is one posted cross-CPU operation: a remote wake (enqueue on the
@@ -81,77 +76,36 @@ type cpuMail struct {
 
 // newParState builds the gate. It is created once, in New, for any
 // ParallelHost kernel with more than one CPU — not per run — so
-// observation snapshots (Kernel.Stats, Kernel.ProfileSnapshot) can lock
-// the same mutex the CPU goroutines hold and read live state race-free.
-func newParState(ncpus int, sharded bool) *parState {
-	p := &parState{sharded: sharded}
-	p.cond = sync.NewCond(&p.mu)
-	if sharded {
-		p.shards = make([]sync.Mutex, ncpus)
-		p.qmu = make([]sync.Mutex, ncpus)
-		p.mail = make([]cpuMail, ncpus)
+// observation snapshots (Kernel.StatsInto, Kernel.ProfileSnapshot) can
+// take kmu and read live state race-free: all snapshot-visible state —
+// per-CPU stats shards, profile shards, clocks — is written under kmu, so
+// it alone gives a consistent cut without stalling the per-CPU shards.
+func newParState(ncpus int) *parState {
+	p := &parState{
+		shards: make([]sync.Mutex, ncpus),
+		qmu:    make([]sync.Mutex, ncpus),
+		mail:   make([]cpuMail, ncpus),
 	}
+	p.cond = sync.NewCond(&p.mu)
 	return p
 }
 
-// shardedPar reports whether this kernel is running the sharded
-// ParallelHost gate (fine lock model on real host goroutines).
-func (k *Kernel) shardedPar() bool { return k.par != nil && k.par.sharded }
-
-// gateLock enters a kernel section on CPU c: takes the kernel gate (kmu
-// under the sharded model, the single gate otherwise) and installs c as
-// the acting CPU. k.cur is only meaningful while the gate is held.
+// gateLock enters a kernel section on CPU c: takes kmu and installs c as
+// the acting CPU. k.cur is only meaningful while kmu is held.
 func (k *Kernel) gateLock(c *CPU) {
-	if k.par.sharded {
-		k.par.kmu.Lock()
-	} else {
-		k.par.mu.Lock()
-	}
+	k.par.kmu.Lock()
 	k.cur = c
 }
 
 // gateUnlock leaves a kernel section. The caller must re-enter with
-// gateLock before touching any kernel state again. Under the sharded
-// model the caller's own gate shard stays held across the unlock (it is
-// owner-only; releasing it would buy nothing and cost a reacquire).
-func (k *Kernel) gateUnlock() {
-	if k.par.sharded {
-		k.par.kmu.Unlock()
-	} else {
-		k.par.mu.Unlock()
-	}
-}
+// gateLock before touching any kernel state again. The caller's own gate
+// shard stays held across the unlock (it is owner-only; releasing it
+// would buy nothing and cost a reacquire).
+func (k *Kernel) gateUnlock() { k.par.kmu.Unlock() }
 
-// snapLock takes the lock an observation snapshot (Stats, ProfileSnapshot)
-// needs to read live kernel state race-free; snapUnlock releases it. All
-// snapshot-visible state — per-CPU stats shards, profile shards, clocks —
-// is written under kmu in sharded mode, so kmu alone gives a consistent
-// cut without stalling the per-CPU shards.
-func (k *Kernel) snapLock() {
-	if k.par.sharded {
-		k.par.kmu.Lock()
-	} else {
-		k.par.mu.Lock()
-	}
-}
-
-func (k *Kernel) snapUnlock() {
-	if k.par.sharded {
-		k.par.kmu.Unlock()
-	} else {
-		k.par.mu.Unlock()
-	}
-}
-
-// wakeIdlers pokes every CPU parked on the idle cond. Classic gate:
-// caller already holds p.mu (the gate), so a bare broadcast suffices.
-// Sharded gate: callers hold kmu (or less), so take p.mu for the
-// broadcast (kmu → p.mu is in-order).
+// wakeIdlers pokes every CPU parked on the idle cond. Callers hold kmu
+// (or less), so take p.mu for the broadcast (kmu → p.mu is in-order).
 func (p *parState) wakeIdlers() {
-	if !p.sharded {
-		p.cond.Broadcast()
-		return
-	}
 	p.mu.Lock()
 	p.cond.Broadcast()
 	p.mu.Unlock()
@@ -176,7 +130,7 @@ func (p *parState) setDone() {
 // case where the owner is already parked idle: a parked CPU always has an
 // empty mailbox (it re-checks before waiting), so the post + broadcast
 // pair cannot be missed.
-func (k *Kernel) mailPostWake(c *CPU, t *obj.Thread) {
+func (k *Kernel) mailPostWake(t *obj.Thread) {
 	p := k.par
 	home := t.HomeCPU
 	p.qmu[home].Lock()
@@ -188,8 +142,8 @@ func (k *Kernel) mailPostWake(c *CPU, t *obj.Thread) {
 // mailPostDrop posts a remote queue removal of t to its home CPU's
 // mailbox. Until the owner drains it the entry sits stale in the queue;
 // Pick's runnable check skips it, exactly like a thread that blocked
-// while queued under the classic gate.
-func (k *Kernel) mailPostDrop(c *CPU, t *obj.Thread) {
+// while queued on a deterministic kernel.
+func (k *Kernel) mailPostDrop(t *obj.Thread) {
 	p := k.par
 	home := t.HomeCPU
 	p.qmu[home].Lock()
@@ -201,7 +155,7 @@ func (k *Kernel) mailPostDrop(c *CPU, t *obj.Thread) {
 // mailPostKick posts the IPI analogue: the owner sets its own resched
 // flag when it drains. The kicker's clock is stamped here (under kmu) so
 // the preempt-latency histogram still measures wake-to-dispatch across
-// CPUs, as in the classic path.
+// CPUs, as in the deterministic path.
 func (k *Kernel) mailPostKick(target *CPU) {
 	p := k.par
 	p.qmu[target.id].Lock()
@@ -238,66 +192,18 @@ func (k *Kernel) runParallel(stop func() bool) {
 		wg.Add(1)
 		go func(c *CPU) {
 			defer wg.Done()
-			if p.sharded {
-				k.cpuLoopSharded(c, stop)
-			} else {
-				k.cpuLoop(c, stop)
-			}
+			k.cpuLoopSharded(c, stop)
 		}(c)
 	}
 	wg.Wait()
 	k.cur = k.cpus[0]
 }
 
-// cpuLoop is one CPU's scheduler loop under the classic single gate.
-// Invariant: the gate is held at the top of every iteration (and across
-// everything except user-mode batches).
-func (k *Kernel) cpuLoop(c *CPU, stop func() bool) {
-	p := k.par
-	k.gateLock(c)
-	defer k.gateUnlock()
-	for {
-		if p.done {
-			return
-		}
-		if stop() {
-			p.done = true
-			p.cond.Broadcast()
-			return
-		}
-		if t := k.schedPick(c); t != nil {
-			k.dispatch(c, t, false)
-			continue
-		}
-		// Nothing runnable here: service the local timer queue, else wait
-		// for a wake (kickCPU broadcasts) or system quiescence.
-		if d, ok := c.clk.NextDeadline(); ok {
-			if now := c.clk.Now(); d > now {
-				c.stats.IdleCycles += d - now
-				k.profCharge(c, nil, profile.PathIdle, d-now)
-			}
-			c.clk.AdvanceTo(d)
-			continue
-		}
-		p.idle++
-		if p.idle == len(k.cpus) && k.quiescent() {
-			p.idle--
-			p.done = true
-			p.cond.Broadcast()
-			return
-		}
-		p.cond.Wait()
-		k.cur = c // another CPU held the gate while we slept
-		p.idle--
-	}
-}
-
-// cpuLoopSharded is one CPU's scheduler loop under the sharded gate. Each
-// iteration: take the own shard, apply the mailbox, then enter a kernel
-// section (kmu) only for the decision and dispatch. A kicked resched flag
-// posted mid-batch is observed at the next loop top — preemption latency
-// in this mode is bounded by one user batch, the same wall-clock
-// granularity the classic gate already had.
+// cpuLoopSharded is one CPU's scheduler loop. Each iteration: take the
+// own shard, apply the mailbox, then enter a kernel section (kmu) only
+// for the decision and dispatch. A kicked resched flag posted mid-batch
+// is observed at the next loop top — preemption latency in this mode is
+// bounded by one user batch.
 func (k *Kernel) cpuLoopSharded(c *CPU, stop func() bool) {
 	p := k.par
 	for {
@@ -362,24 +268,13 @@ func (k *Kernel) cpuLoopSharded(c *CPU, stop func() bool) {
 	}
 }
 
-// quiescent reports whether no CPU has runnable or timed work left.
-// Called under the classic gate.
-func (k *Kernel) quiescent() bool {
-	for _, c := range k.cpus {
-		if c.current != nil || k.runnableQueuedOn(c) || c.clk.Pending() > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// quiescentSharded is the sharded-gate quiescence check, run by the last
-// CPU to go idle while holding p.mu. With p.idle == NumCPUs every other
-// CPU has released its shard and kmu and parked (or is re-acquiring p.mu
-// inside Wait), and each one's state writes happened-before its idle++
-// under p.mu — so reading queues, clocks, and current here is race-free
-// without taking the shards. A pending mailbox defeats quiescence: its
-// owner was broadcast-woken by the post and will drain it.
+// quiescentSharded is the quiescence check, run by the last CPU to go
+// idle while holding p.mu. With p.idle == NumCPUs every other CPU has
+// released its shard and kmu and parked (or is re-acquiring p.mu inside
+// Wait), and each one's state writes happened-before its idle++ under
+// p.mu — so reading queues, clocks, and current here is race-free without
+// taking the shards. A pending mailbox defeats quiescence: its owner was
+// broadcast-woken by the post and will drain it.
 func (k *Kernel) quiescentSharded() bool {
 	for _, c := range k.cpus {
 		if c.current != nil || k.runnableQueuedOn(c) || c.clk.Pending() > 0 || k.mailPending(c.id) {

@@ -52,8 +52,8 @@ func (k *Kernel) ProfileSnapshot() profile.Snapshot {
 		return profile.Snapshot{}
 	}
 	if k.par != nil {
-		k.snapLock()
-		defer k.snapUnlock()
+		k.par.kmu.Lock()
+		defer k.par.kmu.Unlock()
 	}
 	return k.prof.Snapshot()
 }

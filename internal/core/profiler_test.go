@@ -38,7 +38,7 @@ func TestProfilerEquivalence(t *testing.T) {
 	}
 	for _, base := range core.Configurations() {
 		for _, ncpu := range []int{1, 2, 4} {
-			for _, lm := range []core.LockModel{core.LockBig, core.LockPerSubsystem} {
+			for _, lm := range lockModels {
 				cfg := base
 				cfg.NumCPUs = ncpu
 				cfg.LockModel = lm

@@ -15,13 +15,12 @@ import (
 
 // schedEnqueue appends t to the tail of its home CPU's run queue, taking
 // that queue's lock (under the fine model a remote enqueue locks the
-// *target* queue instance, not the enqueuer's own). Under the sharded
-// ParallelHost gate a remote queue is owner-only state, so the enqueue is
-// posted to the target CPU's mailbox instead (ordered two-phase: see
-// parallel.go).
+// *target* queue instance, not the enqueuer's own). Under ParallelHost a
+// remote queue is owner-only state, so the enqueue is posted to the
+// target CPU's mailbox instead (ordered two-phase: see parallel.go).
 func (k *Kernel) schedEnqueue(c *CPU, t *obj.Thread) {
-	if k.shardedPar() && t.HomeCPU != c.id {
-		k.mailPostWake(c, t)
+	if k.par != nil && t.HomeCPU != c.id {
+		k.mailPostWake(t)
 		return
 	}
 	slot := k.runqSlot(t.HomeCPU)
@@ -57,13 +56,13 @@ func (k *Kernel) schedTopPriority(c *CPU) (int, bool) {
 // schedRemove unlinks t from whichever CPU's queue holds it. The fine
 // model locks one queue instance at a time while probing (home first —
 // the overwhelmingly common case — then the rest), never holding two at
-// once. Under the sharded gate a remote removal is posted to the owning
+// once. Under ParallelHost a remote removal is posted to the owning
 // CPU's mailbox; until the owner drains it, the entry sits stale in the
 // queue and Pick's runnable check skips it.
 func (k *Kernel) schedRemove(c *CPU, t *obj.Thread) {
-	if k.shardedPar() {
+	if k.par != nil {
 		if t.HomeCPU != c.id {
-			k.mailPostDrop(c, t)
+			k.mailPostDrop(t)
 			return
 		}
 		// Own queue only: ParallelHost pins threads to their home CPU, so
@@ -75,7 +74,7 @@ func (k *Kernel) schedRemove(c *CPU, t *obj.Thread) {
 		k.lockReleaseSlot(c, slot)
 		return
 	}
-	if k.cfg.LockModel != LockFine {
+	if k.cfg.LockModel == LockBig {
 		k.lockAcquire(c, lockSched)
 		if !k.cpus[t.HomeCPU].runq.Remove(t) {
 			for _, o := range k.cpus {
@@ -117,8 +116,8 @@ func (k *Kernel) schedSteal(c *CPU) *obj.Thread {
 	// its probe (and the chosen victim's again around the steal) — the
 	// steal path pays one short acquire per scanned queue instead of
 	// serializing every CPU on one scheduler lock. At most one queue lock
-	// is held at a time, so instance ordering cannot deadlock. Coarser
-	// models keep the single-acquire scan byte-for-byte (existing seeds).
+	// is held at a time, so instance ordering cannot deadlock. The big
+	// lock keeps the single-acquire scan byte-for-byte (existing seeds).
 	fine := k.cfg.LockModel == LockFine
 	if !fine {
 		k.lockAcquire(c, lockSched)
@@ -181,9 +180,9 @@ func (k *Kernel) schedSteal(c *CPU) *obj.Thread {
 }
 
 // drainMail applies the cross-CPU operations posted to c's mailbox, in
-// post order (phase two of the sharded gate's two-phase protocol). Runs
-// at the top of each owner loop iteration holding c's gate shard — the
-// lock that owns c's queue — but not kmu. A pending kick sets the
+// post order (phase two of the gate's two-phase protocol). Runs at the
+// top of each owner loop iteration holding c's gate shard — the lock
+// that owns c's queue — but not kmu. A pending kick sets the
 // owner's own resched flag, stamping the kicker's clock so the
 // preempt-latency histogram keeps its cross-CPU wake-to-dispatch
 // meaning.
@@ -230,8 +229,8 @@ func (k *Kernel) runnableQueuedOn(c *CPU) bool {
 
 // ---------------------------------------------------------------------------
 // The IPC fast path's donation slot. Staging and consuming a handoff
-// touches only the scheduler lock — under per-subsystem locking this is
-// the multicore win: the rendezvous completion never serializes on the
+// touches only the scheduler lock — under fine locking this is the
+// multicore win: the rendezvous completion never serializes on the
 // object-space lock the way a queue round trip through wake + pick would.
 
 // schedDonate stages t in the acting CPU c's donation slot for a direct
@@ -314,7 +313,7 @@ func (k *Kernel) forceResched(c *CPU) { c.needResched = true }
 func (k *Kernel) clearResched(c *CPU) { c.needResched = false }
 
 // needsResched reads c's flag (owner-read; cross-CPU writes arrive via
-// kickCPU, under the gate in ParallelHost mode).
+// kickCPU, through c's mailbox in ParallelHost mode).
 func (k *Kernel) needsResched(c *CPU) bool { return c.needResched }
 
 // observePreemptLatency closes an open reschedule-request window at a
@@ -336,28 +335,20 @@ func (k *Kernel) observePreemptLatency(c *CPU) {
 // uses the kicker's clock — the latency histogram then measures
 // wake-to-dispatch across CPUs.
 func (k *Kernel) kickCPU(c *CPU, target *CPU) {
-	// Sharded gate: a remote CPU's flag is owner-only state; post the
+	c.stats.IPIs++
+	if k.Metrics != nil {
+		k.Metrics.IPIs.Inc()
+	}
+	k.emit(trace.IPI, uint32(target.id), 0)
+	// ParallelHost: a remote CPU's flag is owner-only state; post the
 	// kick to its mailbox instead (the owner sets its own flag on drain).
-	if k.shardedPar() && target != c {
-		c.stats.IPIs++
-		if k.Metrics != nil {
-			k.Metrics.IPIs.Inc()
-		}
-		k.emit(trace.IPI, uint32(target.id), 0)
+	if k.par != nil {
 		k.mailPostKick(target)
 		return
 	}
 	target.needResched = true
 	if k.Metrics != nil && target.reschedSince == 0 {
 		target.reschedSince = c.clk.Now()
-	}
-	c.stats.IPIs++
-	if k.Metrics != nil {
-		k.Metrics.IPIs.Inc()
-	}
-	k.emit(trace.IPI, uint32(target.id), 0)
-	if k.par != nil {
-		k.par.wakeIdlers()
 	}
 }
 
@@ -412,37 +403,12 @@ func (k *Kernel) ensureSliceTimer(c *CPU) {
 // ---------------------------------------------------------------------------
 // CPU selection for the deterministic serial interleaver.
 
-// chooseCPUScan returns the CPU to run next: smallest local virtual
-// time, ties preferring a CPU with queued runnable work, then one with a
-// pending timer, then the lowest index. Total order over kernel state ⇒
-// the interleaving is a pure function of the initial state.
-//
-// This is the O(n) reference implementation; RunUntil uses the O(log n)
-// clock heap (clockheap.go), which TestClockHeapMatchesScan pins to this
-// exact order.
-func (k *Kernel) chooseCPUScan() *CPU {
-	best := k.cpus[0]
-	bestClass := cpuClass(best)
-	for _, c := range k.cpus[1:] {
-		cn, bn := c.clk.Now(), best.clk.Now()
-		if cn < bn {
-			best, bestClass = c, cpuClass(c)
-			continue
-		}
-		if cn == bn {
-			if cl := cpuClass(c); cl < bestClass {
-				best, bestClass = c, cl
-			}
-		}
-	}
-	return best
-}
-
-// cpuClass ranks same-time CPUs for chooseCPU: runnable work first, then
-// pending timers, then idle. A staged handoff counts as runnable work —
-// this is load-bearing for liveness: a CPU holding only a donation must
-// outrank idle peers at the same virtual time, or the interleaver could
-// declare quiescence with a thread still staged in the slot.
+// cpuClass ranks same-time CPUs for the clock heap's pick: runnable work
+// first, then pending timers, then idle. A staged handoff counts as
+// runnable work — this is load-bearing for liveness: a CPU holding only a
+// donation must outrank idle peers at the same virtual time, or the
+// interleaver could declare quiescence with a thread still staged in the
+// slot.
 func cpuClass(c *CPU) int {
 	if d := c.runq.Donation(); d != nil && d.Runnable() {
 		return 0
@@ -458,11 +424,11 @@ func cpuClass(c *CPU) int {
 
 // idleStep advances an idle CPU to the earliest upcoming event anywhere:
 // its own next timer, another CPU's clock, or another CPU's deadline —
-// whichever is soonest — after which chooseCPU reconsiders. Advancing in
-// these conservative steps (rather than leaping straight to the local
+// whichever is soonest — after which the clock heap reconsiders. Advancing
+// in these conservative steps (rather than leaping straight to the local
 // deadline, which can be a full quantum away) keeps an idle CPU's clock
 // shadowing the busy CPUs, so it stays eligible to pick up work the
-// moment any appears; overshooting would retire it from chooseCPU until
+// moment any appears; overshooting would retire it from the pick until
 // everyone else caught up. It returns false when the whole system is
 // quiescent.
 func (k *Kernel) idleStep(c *CPU) bool {

@@ -201,7 +201,7 @@ func TestZeroCopyEquivalence(t *testing.T) {
 	totalShares := uint64(0)
 	for _, base := range core.Configurations() {
 		for _, ncpu := range []int{1, 2, 4} {
-			for _, lm := range []core.LockModel{core.LockBig, core.LockPerSubsystem} {
+			for _, lm := range lockModels {
 				cfg := base
 				cfg.NumCPUs = ncpu
 				cfg.LockModel = lm

@@ -137,7 +137,7 @@ func Bandwidth() ([]BandwidthResult, error) {
 	var out []BandwidthResult
 	for _, size := range bwSizes {
 		for _, ncpu := range []int{1, 2, 4} {
-			for _, lm := range []core.LockModel{core.LockBig, core.LockPerSubsystem} {
+			for _, lm := range LockModels {
 				copyIdx := -1
 				for _, mode := range BandwidthModes {
 					r, err := BandwidthCell(size, mode, ncpu, lm)

@@ -7,14 +7,15 @@ import (
 
 // The lock-model crossover study (ROADMAP item: Elphinstone et al.'s
 // coarse- vs fine-grained locking evaluation retold on Fluke's atomic
-// API). The scaling matrix (scaling.go) stops at 4 CPUs and two models;
-// this sweep pushes to 64 CPUs and adds the fine model — per-run-queue
-// and per-space lock instances — so the curve can actually cross: the
-// big lock flattens first, per-subsystem locking carries to the low
-// tens of CPUs, and the fine model keeps scaling once cross-CPU wakes
-// and disjoint spaces stop funnelling through the global sched/obj
-// locks. Work grows with the machine (pairs = CPU count), so the
-// figure of merit is simulated throughput, not fixed-work runtime.
+// API). The scaling matrix (scaling.go) stops at 4 CPUs with fixed
+// work; this sweep pushes to 64 CPUs with work that grows with the
+// machine (pairs = CPU count), so the figure of merit is simulated
+// throughput, not fixed-work runtime: the big lock flattens at once,
+// and the fine model — per-run-queue and per-space lock instances —
+// keeps scaling because cross-CPU wakes and disjoint spaces never
+// funnel through a global lock. (BENCH_PR8.json, the archived first
+// run of this sweep, carries a third curve for a since-deleted
+// per-subsystem model.)
 
 // CrossoverRow is one (workload, CPUs, lock model) cell.
 type CrossoverRow struct {
@@ -51,12 +52,9 @@ func FastCrossoverScale() CrossoverScale { return CrossoverScale{RPCs: 6, Words:
 // CrossoverCPUs is the full sweep's CPU axis.
 var CrossoverCPUs = []int{1, 2, 4, 8, 16, 32, 64}
 
-// CrossoverModels is the lock-model axis.
-var CrossoverModels = []core.LockModel{core.LockBig, core.LockPerSubsystem, core.LockFine}
-
 // crossoverWorkloads: the bulk parallel-IPC-pairs workload stresses the
-// data path (copies overlap outside the object lock under persub and
-// fine); null-RPC (a 1-word payload) is pure control path, where the
+// data path (copies overlap outside the object lock under fine);
+// null-RPC (a 1-word payload) is pure control path, where the
 // per-instance locks are the whole difference.
 func crossoverWorkloads(sc CrossoverScale) []struct {
 	Name  string
@@ -80,7 +78,7 @@ func LockCrossover(sc CrossoverScale, cpusList []int) ([]CrossoverRow, error) {
 	}
 	var rows []CrossoverRow
 	for _, wl := range crossoverWorkloads(sc) {
-		for _, lm := range CrossoverModels {
+		for _, lm := range LockModels {
 			base := 0.0
 			for _, n := range cpusList {
 				pairs := n
@@ -124,7 +122,7 @@ func LockCrossover(sc CrossoverScale, cpusList []int) ([]CrossoverRow, error) {
 
 // LockCrossoverRender formats the sweep, one table section per workload.
 func LockCrossoverRender(rows []CrossoverRow) *stats.Table {
-	t := stats.NewTable("Lock-model crossover: simulated throughput, 1-64 CPUs x {big, persub, fine}",
+	t := stats.NewTable("Lock-model crossover: simulated throughput, 1-64 CPUs x {big, fine}",
 		"workload", "CPUs", "Lock model", "RPCs/virtual-ms", "speedup", "contended acquires", "lock wait kcycles")
 	for _, r := range rows {
 		t.Row(r.Workload, r.CPUs, r.LockModel.String(), r.RPCsPerVirtualMS, r.Speedup,

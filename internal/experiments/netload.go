@@ -51,9 +51,6 @@ var NetloadModes = []string{NetloadNaive, NetloadNoZeroCopy, NetloadNoCoalesce, 
 // NetloadCPUs is the default sweep CPU axis.
 var NetloadCPUs = []int{1, 2, 4}
 
-// NetloadLockModels is the default sweep lock-model axis.
-var NetloadLockModels = []core.LockModel{core.LockBig, core.LockPerSubsystem, core.LockFine}
-
 // NetloadScale sizes the workload.
 type NetloadScale struct {
 	Queues    int // NIC queues (= driver spaces, one per CPU when possible)
@@ -330,7 +327,7 @@ func Netload(sc NetloadScale, cpusList []int, models []core.LockModel) (*Netload
 		cpusList = NetloadCPUs
 	}
 	if len(models) == 0 {
-		models = NetloadLockModels
+		models = LockModels
 	}
 	rep := &NetloadReport{Scale: sc}
 	var naive, tuned float64

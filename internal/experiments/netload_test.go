@@ -134,7 +134,7 @@ func TestNICCoalesceEquivalence(t *testing.T) {
 	}
 	// CPU counts x lock models on the interrupt/PP base.
 	for _, cpus := range []int{1, 2} {
-		for _, lm := range NetloadLockModels {
+		for _, lm := range LockModels {
 			name := "interrupt/pp/" + lm.String()
 			check(name, netloadBaseConfig(), cpus, lm)
 		}

@@ -15,11 +15,15 @@ import (
 // pairs, each in its own pair of spaces, streaming bulk IPC transfers.
 // The total work is fixed; the CPU count and lock model vary. Under the
 // big kernel lock every kernel episode serializes in virtual time, so
-// adding CPUs buys little; under per-subsystem locking the bulk copies
-// run outside the object-space lock (ipc_support.go) and overlap across
-// CPUs, so simulated throughput scales. This is the classic
+// adding CPUs buys little; under fine locking the bulk copies run outside
+// the object-space lock (ipc_support.go), the pairs' spaces and queues
+// have their own lock instances, and simulated throughput scales. This is the classic
 // big-lock-vs-fine-grained story told with the kernel's own virtual
 // locks, with the contention counters to prove the diagnosis.
+
+// LockModels is the lock-model axis of every multiprocessor sweep
+// (scaling, crossover, bandwidth, netload).
+var LockModels = []core.LockModel{core.LockBig, core.LockFine}
 
 // ScalingRow is one (CPUs, lock model) cell of the experiment.
 type ScalingRow struct {
@@ -205,7 +209,7 @@ func IPCScaling(sc ScalingScale, cpusList []int) ([]ScalingRow, error) {
 	}
 	var rows []ScalingRow
 	base := map[core.LockModel]float64{}
-	for _, lm := range []core.LockModel{core.LockBig, core.LockPerSubsystem} {
+	for _, lm := range LockModels {
 		for _, n := range cpusList {
 			row, err := runScalingCell(n, lm, sc)
 			if err != nil {

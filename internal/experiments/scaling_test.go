@@ -7,7 +7,7 @@ import (
 )
 
 // TestScalingSpeedup pins the multiprocessor story the experiment exists
-// to tell: with the work fixed, per-subsystem locking must scale (>= 1.5x
+// to tell: with the work fixed, fine-grained locking must scale (>= 1.5x
 // simulated throughput at 4 CPUs) while the big kernel lock must not
 // (every kernel episode serializes on the one lock), and the contention
 // counters must show why.
@@ -26,37 +26,37 @@ func TestScalingSpeedup(t *testing.T) {
 		return ScalingRow{}
 	}
 	big := cell(4, core.LockBig)
-	per := cell(4, core.LockPerSubsystem)
-	if per.Speedup < 1.5 {
-		t.Errorf("per-subsystem speedup at 4 CPUs = %.2f, want >= 1.5", per.Speedup)
+	fine := cell(4, core.LockFine)
+	if fine.Speedup < 1.5 {
+		t.Errorf("fine-lock speedup at 4 CPUs = %.2f, want >= 1.5", fine.Speedup)
 	}
-	if big.Speedup >= per.Speedup {
-		t.Errorf("big-lock speedup %.2f not below per-subsystem %.2f", big.Speedup, per.Speedup)
+	if big.Speedup >= fine.Speedup {
+		t.Errorf("big-lock speedup %.2f not below fine %.2f", big.Speedup, fine.Speedup)
 	}
 	// The big lock's failure to scale must be attributable: its contended
-	// wait time should dwarf per-subsystem's.
-	var bigWait, perWait uint64
+	// wait time should dwarf fine's.
+	var bigWait, fineWait uint64
 	for i := range big.Locks {
 		bigWait += big.Locks[i].WaitCycles
-		perWait += per.Locks[i].WaitCycles
+		fineWait += fine.Locks[i].WaitCycles
 	}
-	if bigWait <= perWait {
-		t.Errorf("big-lock wait cycles %d not above per-subsystem %d", bigWait, perWait)
+	if bigWait <= fineWait {
+		t.Errorf("big-lock wait cycles %d not above fine %d", bigWait, fineWait)
 	}
-	// Under LockBig only the big lock may move; under LockPerSubsystem the
-	// big lock must stay idle.
+	// Under LockBig only the big lock may move; under LockFine the big
+	// lock must stay idle.
 	for i, ls := range big.Locks {
 		if core.LockKindNames[i] != "big" && ls.Contended != 0 {
 			t.Errorf("LockBig: lock %s contended %d times", ls.Name, ls.Contended)
 		}
 	}
-	if per.Locks[3].Acquires != 0 {
-		t.Errorf("LockPerSubsystem: big lock acquired %d times", per.Locks[3].Acquires)
+	if fine.Locks[3].Acquires != 0 {
+		t.Errorf("LockFine: big lock acquired %d times", fine.Locks[3].Acquires)
 	}
 	// The 1-CPU cells must be lock-model-independent (no contention is
 	// possible with one clock) — same frontier, speedup exactly 1.
-	b1, p1 := cell(1, core.LockBig), cell(1, core.LockPerSubsystem)
-	if b1.Frontier != p1.Frontier {
-		t.Errorf("1-CPU frontier differs by lock model: big=%d persub=%d", b1.Frontier, p1.Frontier)
+	b1, f1 := cell(1, core.LockBig), cell(1, core.LockFine)
+	if b1.Frontier != f1.Frontier {
+		t.Errorf("1-CPU frontier differs by lock model: big=%d fine=%d", b1.Frontier, f1.Frontier)
 	}
 }

@@ -500,8 +500,8 @@ type Space struct {
 	ReapWaiters WaitQueue
 	// LockSlot is this space's object-lock slot in the kernel's lock
 	// table under the fine-grained lock model (the paired MMU instance is
-	// LockSlot+1); 0 means no per-space instances (coarser models, or the
-	// sharded ParallelHost gate). Maintained by internal/core.
+	// LockSlot+1); 0 means no per-space instances (the big lock, or
+	// ParallelHost). Maintained by internal/core.
 	LockSlot int
 }
 

@@ -4,7 +4,8 @@
 # with the IPC direct-handoff fast path on vs off, the IPC round-trip
 # under every kernel configuration, the multiprocessor IPC-scaling
 # matrix (CPU count x lock model), the 1-64 CPU lock-model crossover
-# sweep (big vs persub vs fine), the bulk-IPC bandwidth sweep with
+# sweep (big vs fine; BENCH_PR8.json archives the three-curve sweep that
+# still had a per-subsystem model), the bulk-IPC bandwidth sweep with
 # zero-copy frame sharing on vs off, the NIC netload sweep
 # (interrupt coalescing x zero-copy replies, then CPUs x lock models),
 # and the pre-copy live-migration cell (simulated downtime vs the

@@ -7,12 +7,16 @@ package fluke_test
 // in simulated µs, bytes of kernel memory).
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/dev"
 	"repro/internal/experiments"
+	"repro/internal/mem"
 	"repro/internal/mmu"
 	"repro/internal/obj"
 	"repro/internal/prog"
@@ -451,6 +455,69 @@ func BenchmarkSliceTimerRearm(b *testing.B) {
 			c.Advance(100)
 		}
 	})
+}
+
+// BenchmarkNICDeliver64K measures the device half of one bulk reply on a
+// bare NIC: a 64 KiB frame DMA-written into a 16-page buffer whose every
+// page is still COW-shared with the receiver of the previous frame, as the
+// zero-copy reply path leaves it — sixteen unshares per delivery, each a
+// whole-page overwrite. Interrupts stay masked (never armed), so ns/op and
+// B/op are the RX data path alone; steady state allocates nothing.
+func BenchmarkNICDeliver64K(b *testing.B) {
+	const (
+		bufOff   = mem.PageSize // page 0 holds both one-slot rings and the shadow word
+		bufPages = 16
+	)
+	alloc := mem.NewAllocator(4 * bufPages)
+	dma := mmu.NewRegion((1+bufPages)*mem.PageSize, true)
+	nic, err := dev.NewNIC(alloc, true, 0, []dev.NICQueueConfig{{
+		Clock: clock.New(), DMA: dma, Raise: func() {},
+		TxRingOff: 0, TxSlots: 1, RxRingOff: dev.NICDescBytes, RxSlots: 1, HeadShadowOff: 2 * dev.NICDescBytes,
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ring, err := alloc.Alloc()
+	if err != nil {
+		b.Fatal(err)
+	}
+	dma.Populate(0, ring)
+	desc := ring.Data[dev.NICDescBytes:]
+	binary.LittleEndian.PutUint32(desc[dev.NICDescOff:], bufOff)
+	io := nic.QueueIO(0)
+	payload := bytes.Repeat([]byte{0x5A}, bufPages*mem.PageSize)
+	var held [bufPages]*mem.Frame // the receiver's references
+	deliver := func(n uint32) {
+		for p := range held {
+			if f := dma.FrameAt(bufOff + uint32(p)*mem.PageSize); f != nil {
+				alloc.Share(f)
+				f.Cow = true
+				held[p] = f
+			}
+		}
+		desc[dev.NICDescOwn] = 1
+		io.IOWrite32(dev.NICRegRxTail, n)
+		nic.Deliver(0, 0, payload)
+		for p, f := range held {
+			alloc.Free(f) // nil on the first pass
+			held[p] = nil
+		}
+	}
+	deliver(1) // populates the buffer
+	deliver(2) // first round of unshares: the allocator grows to its steady size
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		deliver(uint32(i) + 3)
+	}
+	b.StopTimer()
+	if c := nic.Counters(); c.RxFrames != uint64(b.N)+2 || c.Unshares != (uint64(b.N)+1)*bufPages {
+		b.Fatalf("%d deliveries: %+v", b.N, c)
+	}
+	if got := dma.FrameAt(bufOff + (bufPages-1)*mem.PageSize).Data[mem.PageSize-1]; got != 0x5A {
+		b.Fatalf("last payload byte reads %#x", got)
+	}
 }
 
 // BenchmarkInterpreter measures raw simulated-CPU throughput

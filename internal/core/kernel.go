@@ -476,11 +476,16 @@ func (k *Kernel) SpawnProgram(s *obj.Space, base uint32, image []byte, priority 
 }
 
 // WriteMem copies host bytes into guest memory, resolving soft faults
-// directly (boot-loader powers). It fails on hard or fatal faults.
+// directly (boot-loader powers). It fails on hard or fatal faults. The
+// first byte touched in each page takes the faulting store path — it
+// counts, resolves and dirty-logs exactly what a guest store would — and
+// the rest of the page follows through a direct window when the space
+// grants one (not with fast paths off or device windows mapped; then
+// every byte takes the store path).
 func (k *Kernel) WriteMem(s *obj.Space, va uint32, data []byte) error {
-	for i, b := range data {
+	for i := 0; i < len(data); {
 		a := va + uint32(i)
-		if f := s.AS.Store8(a, b); f != nil {
+		if f := s.AS.Store8(a, data[i]); f != nil {
 			cl, _ := s.AS.Classify(a, cpu.Write)
 			if cl != mmu.FaultSoft {
 				return fmt.Errorf("core: WriteMem at %#x: %v fault", a, cl)
@@ -488,18 +493,21 @@ func (k *Kernel) WriteMem(s *obj.Space, va uint32, data []byte) error {
 			if err := s.AS.ResolveSoft(a, cpu.Write); err != nil {
 				return err
 			}
-			if f := s.AS.Store8(a, b); f != nil {
+			if f := s.AS.Store8(a, data[i]); f != nil {
 				return fmt.Errorf("core: WriteMem at %#x: fault persists", a)
 			}
 		}
+		i++
+		i += copy(s.AS.DirectWindow(a+1, cpu.Write, pageRest(a, len(data)-i)), data[i:])
 	}
 	return nil
 }
 
-// ReadMem copies guest memory to host bytes, resolving soft faults.
+// ReadMem copies guest memory to host bytes, resolving soft faults; it
+// walks pages the way WriteMem does.
 func (k *Kernel) ReadMem(s *obj.Space, va uint32, n int) ([]byte, error) {
 	out := make([]byte, n)
-	for i := range out {
+	for i := 0; i < n; {
 		a := va + uint32(i)
 		b, f := s.AS.Load8(a)
 		if f != nil {
@@ -516,8 +524,19 @@ func (k *Kernel) ReadMem(s *obj.Space, va uint32, n int) ([]byte, error) {
 			}
 		}
 		out[i] = b
+		i++
+		i += copy(out[i:], s.AS.DirectWindow(a+1, cpu.Read, pageRest(a, n-i)))
 	}
 	return out, nil
+}
+
+// pageRest is how many of the n bytes after address a share a's page.
+func pageRest(a uint32, n int) uint32 {
+	rest := mem.PageMask - a&mem.PageMask
+	if n < int(rest) {
+		return uint32(n)
+	}
+	return rest
 }
 
 // RaiseIRQ wakes all threads blocked in irq_wait on the given line. The

@@ -18,7 +18,8 @@ import (
 // interrupt line. The device side of the wire is pluggable: consumed TX
 // frames go to the OnTransmit hook, and the simulated remote end injects
 // RX frames with Deliver — typically from a timer on the queue's clock,
-// after a modeled wire latency (internal/netsrv provides such a peer).
+// after a modeled wire latency (internal/netsrv provides such a peer) —
+// and gets each payload back through OnDelivered once it has landed.
 //
 // # Descriptor protocol
 //
@@ -137,6 +138,7 @@ type NICCounters struct {
 	RingFullStalls uint64 // deliveries that had to wait for a posted descriptor
 	Coalesced      uint64 // frames delivered while the interrupt was masked
 	Unshares       uint64 // COW-shared buffer pages replaced before DMA overwrite
+	BadDescs       uint64 // descriptors whose buffer lay outside the DMA region (frame dropped)
 }
 
 func (c *NICCounters) add(d NICCounters) {
@@ -149,6 +151,7 @@ func (c *NICCounters) add(d NICCounters) {
 	c.RingFullStalls += d.RingFullStalls
 	c.Coalesced += d.Coalesced
 	c.Unshares += d.Unshares
+	c.BadDescs += d.BadDescs
 }
 
 type nicPending struct {
@@ -159,6 +162,7 @@ type nicPending struct {
 
 type nicQueue struct {
 	cfg NICQueueConfig
+	id  int // index in NIC.qs, for the hooks
 
 	// TX state: touched only from the queue's register writes (the
 	// driver space's execution path, one goroutine under ParallelHost).
@@ -197,6 +201,16 @@ type NIC struct {
 	// wire latency schedules its Deliver on the queue's clock.
 	OnTransmit func(queue int, tag uint32, frame []byte)
 
+	// OnDelivered is OnTransmit's twin on the receive side: it is called
+	// once for every payload handed to Deliver, as soon as the device is
+	// done with it — right after the bytes landed in guest memory, or
+	// after the frame was dropped on a bad descriptor. Until then the NIC
+	// owns the payload (it may sit in the pending list behind a full
+	// ring); from the call on the peer may reuse it. Frames restored by
+	// LoadState report their restored copies. Called in timer context
+	// with the queue's lock held, so it must not call back into the NIC.
+	OnDelivered func(queue int, payload []byte)
+
 	// Tracer, when non-nil, receives NICDrain instants (one per drain
 	// pass that handled frames). Attach only in deterministic mode: the
 	// ring is not goroutine-safe and arm writes happen on the guest
@@ -232,7 +246,7 @@ func NewNIC(alloc *mem.Allocator, coalesce bool, irqLatency uint64, queues []NIC
 		if qc.HeadShadowOff%4 != 0 || qc.HeadShadowOff+4 > qc.DMA.Size {
 			return nil, fmt.Errorf("dev: NIC queue %d head shadow %#x outside DMA region", i, qc.HeadShadowOff)
 		}
-		n.qs = append(n.qs, &nicQueue{cfg: qc})
+		n.qs = append(n.qs, &nicQueue{cfg: qc, id: i})
 	}
 	return n, nil
 }
@@ -362,7 +376,10 @@ func (io *nicQueueIO) IOWrite32(off uint32, v uint32) {
 // execution path, so it must not allocate frames: TX descriptors and
 // buffers have to be the driver space's own resident private pages
 // (writing own=0 to an absent or shared page would allocate — keep TX
-// pages private, as internal/netsrv does).
+// pages private, as internal/netsrv does). Offset and length are
+// guest-written: a buffer that does not lie inside the DMA region is
+// handed back unsent (BadDescs), so the host copy is never larger than
+// the region.
 func (n *NIC) consumeTX(qi int) {
 	q := n.qs[qi]
 	for q.txHead != q.txTail {
@@ -373,15 +390,23 @@ func (n *NIC) consumeTX(qi int) {
 		off := n.read32(q, da+NICDescOff)
 		length := n.read32(q, da+NICDescLen)
 		tag := n.read32(q, da+NICDescTag)
-		frame := make([]byte, length)
-		n.dmaRead(q, off, frame)
+		ok := q.inDMA(off, length)
+		var frame []byte
+		if ok {
+			frame = make([]byte, length)
+			n.dmaRead(q, off, frame)
+		}
 		n.write32(q, da+NICDescOwn, 0)
 		q.txHead++
 		q.mu.Lock()
-		q.c.TxFrames++
-		q.c.TxBytes += uint64(length)
+		if ok {
+			q.c.TxFrames++
+			q.c.TxBytes += uint64(length)
+		} else {
+			q.c.BadDescs++
+		}
 		q.mu.Unlock()
-		if n.OnTransmit != nil {
+		if ok && n.OnTransmit != nil {
 			n.OnTransmit(qi, tag, frame)
 		}
 	}
@@ -389,9 +414,10 @@ func (n *NIC) consumeTX(qi int) {
 
 // Deliver injects an RX frame for queue q tagged tag — the simulated
 // remote end's half of the wire. Call it in timer context on the
-// queue's clock (or from host code while the kernel is stopped);
-// payload is copied into guest memory when a descriptor is available,
-// so the caller may reuse it only after the frame lands.
+// queue's clock (or from host code while the kernel is stopped). The
+// payload is not copied here: it is written into guest memory when a
+// descriptor is available, which may be much later on a full ring, and
+// the NIC owns it until OnDelivered reports it back.
 func (n *NIC) Deliver(q int, tag uint32, payload []byte) {
 	qq := n.qs[q]
 	qq.mu.Lock()
@@ -444,16 +470,30 @@ func (n *NIC) deliverLocked(q *nicQueue) {
 			}
 			return
 		}
+		// Pop by copying down, so the list keeps its backing array and a
+		// steady stream of frames never reallocates it.
 		p := q.pending[0]
-		q.pending = q.pending[1:]
-		bufOff := n.read32(q, da+NICDescOff)
-		n.dmaWrite(q, bufOff, p.payload)
-		n.write32(q, da+NICDescLen, uint32(len(p.payload)))
+		last := copy(q.pending, q.pending[1:])
+		q.pending[last] = nicPending{}
+		q.pending = q.pending[:last]
+		landed := p.payload
+		if bufOff := n.read32(q, da+NICDescOff); q.inDMA(bufOff, uint32(len(landed))) {
+			n.dmaWrite(q, bufOff, landed)
+			q.c.RxFrames++
+			q.c.RxBytes += uint64(len(landed))
+		} else {
+			// Guest-written offset outside the DMA region: the descriptor
+			// completes empty and the frame is dropped.
+			landed = nil
+			q.c.BadDescs++
+		}
+		n.write32(q, da+NICDescLen, uint32(len(landed)))
 		n.write32(q, da+NICDescTag, p.tag)
 		n.write32(q, da+NICDescOwn, 0)
 		q.rxNext++
-		q.c.RxFrames++
-		q.c.RxBytes += uint64(len(p.payload))
+		if n.OnDelivered != nil {
+			n.OnDelivered(q.id, p.payload)
+		}
 		if n.coalesce {
 			if q.armed {
 				q.armed = false
@@ -494,9 +534,11 @@ func (n *NIC) scheduleRaiseLocked(q *nicQueue) {
 // with private copies first. Device DMA bypasses the MMU's store path,
 // so the COW discipline the zero-copy IPC path relies on is enforced
 // here: a buffer page whose frame was shared into a receiver is
-// replaced (old contents preserved, receivers keep the original frame)
-// before the device overwrites it.
-func (n *NIC) cowFrame(q *nicQueue, po uint32) *mem.Frame {
+// replaced (receivers keep the original frame) before the device
+// overwrites it. The replacement starts as a copy of the old contents
+// unless the caller promises to overwrite the whole page, in which case
+// the copy would be dead on arrival and is skipped.
+func (n *NIC) cowFrame(q *nicQueue, po uint32, wholePage bool) *mem.Frame {
 	// Every caller is about to write the returned frame, and device DMA
 	// bypasses the MMU's dirty-page log as well as its COW discipline, so
 	// this choke point also reports the write to the tracker. (Populate
@@ -516,7 +558,9 @@ func (n *NIC) cowFrame(q *nicQueue, po uint32) *mem.Frame {
 		if err != nil {
 			panic(fmt.Sprintf("dev: NIC DMA out of memory at +%#x: %v", po, err))
 		}
-		copy(nf.Data, f.Data)
+		if !wholePage {
+			copy(nf.Data, f.Data)
+		}
 		nf.Bump()
 		// Repoint, not Populate: watchers' translations are re-derived in
 		// place, so the driver's next zero-copy reply out of this page does
@@ -538,11 +582,17 @@ func (n *NIC) cowFrame(q *nicQueue, po uint32) *mem.Frame {
 	}
 }
 
+// inDMA reports whether [off, off+length) lies inside the queue's DMA
+// region. Both come from guest-written descriptors, hence the 64-bit sum.
+func (q *nicQueue) inDMA(off, length uint32) bool {
+	return uint64(off)+uint64(length) <= uint64(q.cfg.DMA.Size)
+}
+
 func (n *NIC) dmaWrite(q *nicQueue, off uint32, data []byte) {
 	for i := 0; i < len(data); {
 		po := mem.PageTrunc(off + uint32(i))
-		f := n.cowFrame(q, po)
 		inPage := int(off) + i - int(po)
+		f := n.cowFrame(q, po, inPage == 0 && len(data)-i >= mem.PageSize)
 		m := copy(f.Data[inPage:], data[i:])
 		f.Bump()
 		i += m
@@ -560,9 +610,7 @@ func (n *NIC) dmaRead(q *nicQueue, off uint32, dst []byte) {
 			if m > len(dst)-i {
 				m = len(dst) - i
 			}
-			for j := 0; j < m; j++ {
-				dst[i+j] = 0
-			}
+			clear(dst[i : i+m])
 		} else {
 			m = copy(dst[i:], f.Data[inPage:])
 		}
@@ -580,7 +628,7 @@ func (n *NIC) read32(q *nicQueue, off uint32) uint32 {
 }
 
 func (n *NIC) write32(q *nicQueue, off uint32, v uint32) {
-	f := n.cowFrame(q, mem.PageTrunc(off))
+	f := n.cowFrame(q, mem.PageTrunc(off), false)
 	b := f.Data[off&mem.PageMask:]
 	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 	f.Bump()

@@ -2,6 +2,8 @@ package dev_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"repro/internal/clock"
@@ -100,6 +102,21 @@ func (r *nicRig) putBytes(off uint32, data []byte) {
 		r.w32(mem.PageTrunc(o), r.r32(mem.PageTrunc(o))) // ensure page
 		f := r.dma.FrameAt(mem.PageTrunc(o))
 		f.Data[o&mem.PageMask] = c
+	}
+}
+
+// copyDMAFrom copies src's DMA image into r's empty region page by page,
+// as the checkpoint layer does for a real driver space.
+func (r *nicRig) copyDMAFrom(src *nicRig) {
+	for off := uint32(0); off < src.dma.Size; off += mem.PageSize {
+		if f := src.dma.FrameAt(off); f != nil {
+			nf, err := r.alloc.Alloc()
+			if err != nil {
+				r.t.Fatal(err)
+			}
+			copy(nf.Data, f.Data)
+			r.dma.Populate(off, nf)
+		}
 	}
 }
 
@@ -464,19 +481,9 @@ func TestNICSaveRestore(t *testing.T) {
 			len(st.Queues[0].Pending), st.Queues[0].RaiseDue)
 	}
 
-	// New world: fresh clock, fresh device, DMA image copied page by page
-	// (the checkpoint layer does this for real driver spaces).
+	// New world: fresh clock, fresh device, DMA image copied over.
 	r2 := newNICRig(t, true)
-	for off := uint32(0); off < mem.PageSize*16; off += mem.PageSize {
-		if f := r.dma.FrameAt(off); f != nil {
-			nf, err := r2.alloc.Alloc()
-			if err != nil {
-				t.Fatal(err)
-			}
-			copy(nf.Data, f.Data)
-			r2.dma.Populate(off, nf)
-		}
-	}
+	r2.copyDMAFrom(r)
 	if err := r2.n.LoadState(st); err != nil {
 		t.Fatal(err)
 	}
@@ -521,4 +528,217 @@ func TestNICSaveRestore(t *testing.T) {
 	if err := r2.n.LoadState(&bad); err == nil {
 		t.Fatal("queue-count-mismatch LoadState succeeded")
 	}
+}
+
+// TestNICBadRxDescriptor posts an RX descriptor whose buffer offset is the
+// DMA region's size — one byte past anything the device may touch. The
+// frame must be dropped with the descriptor completed empty, not panic
+// the host, and the queue must keep serving.
+func TestNICBadRxDescriptor(t *testing.T) {
+	r := newNICRig(t, true)
+	r.io.IOWrite32(dev.NICRegIntrArm, 0)
+	var returned [][]byte
+	r.n.OnDelivered = func(_ int, payload []byte) { returned = append(returned, payload) }
+
+	r.w32(nicRxRing+dev.NICDescOff, r.dma.Size)
+	r.w32(nicRxRing+dev.NICDescOwn, 1)
+	posted := r.postRX(1) // slot 1 is well-formed
+	r.io.IOWrite32(dev.NICRegRxTail, posted)
+	dropped, kept := []byte{1, 2, 3, 4}, []byte{5, 6, 7, 8}
+	r.n.Deliver(0, 0x51, dropped)
+	r.n.Deliver(0, 0x52, kept)
+
+	if _, length, tag, own := r.rxDesc(0); own != 0 || length != 0 || tag != 0x51 {
+		t.Fatalf("bad descriptor completed with len=%d tag=%#x own=%d, want len 0, tag 0x51, own 0", length, tag, own)
+	}
+	off, length, tag, own := r.rxDesc(1)
+	if own != 0 || length != 4 || tag != 0x52 || !bytes.Equal(r.bytesAt(off, 4), kept) {
+		t.Fatalf("frame after the bad descriptor: len=%d tag=%#x own=%d", length, tag, own)
+	}
+	if c := r.n.Counters(); c.BadDescs != 1 || c.RxFrames != 1 || c.RxBytes != 4 {
+		t.Fatalf("counters after one dropped and one delivered frame: %+v", c)
+	}
+	if len(returned) != 2 || &returned[0][0] != &dropped[0] || &returned[1][0] != &kept[0] {
+		t.Fatalf("OnDelivered saw %d payloads, want the dropped one and the delivered one in order", len(returned))
+	}
+	r.fire()
+	if r.irqs != 1 || r.r32(nicShadow) != 2 {
+		t.Fatalf("irqs=%d shadow=%d: the completed descriptors were not announced", r.irqs, r.r32(nicShadow))
+	}
+	// BadDescs rides the checkpoint with the other counters.
+	r2 := newNICRig(t, true)
+	if err := r2.n.LoadState(r.n.SaveState()); err != nil {
+		t.Fatal(err)
+	}
+	if c := r2.n.Counters(); c.BadDescs != 1 {
+		t.Fatalf("restored BadDescs=%d, want 1", c.BadDescs)
+	}
+}
+
+// TestNICBadTxDescriptor publishes a TX descriptor with a 2 GiB length
+// (and one whose offset+length wraps 32 bits): the device must hand them
+// back unsent without sizing a host buffer from the guest's word, and
+// transmit the well-formed frame behind them.
+func TestNICBadTxDescriptor(t *testing.T) {
+	r := newNICRig(t, true)
+	r.putBytes(nicTxBuf, []byte{9, 8, 7, 6})
+	idx := r.publishTX(0, nicTxBuf, 0x7FFF_FFF0, 1)
+	idx = r.publishTX(idx, 0xFFFF_FFFC, 8, 2)
+	idx = r.publishTX(idx, nicTxBuf, 4, 3)
+	r.io.IOWrite32(dev.NICRegTxTail, idx)
+
+	if got := r.io.IORead32(dev.NICRegTxHead); got != 3 {
+		t.Fatalf("TxHead=%d, want 3 (bad descriptors are consumed, not stuck)", got)
+	}
+	for i := uint32(0); i < 3; i++ {
+		if own := r.r32(nicTxRing + i*dev.NICDescBytes + dev.NICDescOwn); own != 0 {
+			t.Fatalf("TX descriptor %d still owned by the device", i)
+		}
+	}
+	if len(r.tx) != 1 || r.tx[0].tag != 3 || !bytes.Equal(r.tx[0].payload, []byte{9, 8, 7, 6}) {
+		t.Fatalf("transmitted %+v, want only the well-formed frame", r.tx)
+	}
+	if c := r.n.Counters(); c.BadDescs != 2 || c.TxFrames != 1 || c.TxBytes != 4 {
+		t.Fatalf("counters: %+v", c)
+	}
+}
+
+// TestNICOnDeliveredOrder pins the payload-ownership contract: the hook
+// runs once per frame, in delivery order, with the bytes already in guest
+// memory and the descriptor handed back — at once when a descriptor is
+// free, only after the repost for frames that waited on a full ring, and
+// with the restored copies for frames a checkpoint carried over.
+func TestNICOnDeliveredOrder(t *testing.T) {
+	var seen []byte // first payload byte of each reported frame
+	hook := func(r *nicRig) func(int, []byte) {
+		return func(q int, payload []byte) {
+			idx := uint32(len(seen))
+			off, length, _, own := r.rxDesc(idx)
+			if q != 0 || own != 0 || int(length) != len(payload) || !bytes.Equal(r.bytesAt(off, len(payload)), payload) {
+				t.Errorf("frame %d reported before it landed (len=%d own=%d)", idx, length, own)
+			}
+			seen = append(seen, payload[0])
+		}
+	}
+	frame := func(i int) []byte { return bytes.Repeat([]byte{byte(0xA0 + i)}, 16+i) }
+
+	r := newNICRig(t, true)
+	r.n.OnDelivered = hook(r)
+	r.io.IOWrite32(dev.NICRegIntrArm, 0)
+	r.io.IOWrite32(dev.NICRegRxTail, r.postRX(0))
+	for i := 0; i < 5; i++ {
+		r.n.Deliver(0, uint32(i), frame(i))
+	}
+	if !bytes.Equal(seen, []byte{0xA0}) {
+		t.Fatalf("reported %x with one descriptor posted, want only the first frame", seen)
+	}
+	posted := r.postRX(r.postRX(1))
+	r.io.IOWrite32(dev.NICRegRxTail, posted)
+	if len(seen) != 1 {
+		t.Fatalf("reported %x before the doorbell kick ran", seen)
+	}
+	r.kick()
+	if !bytes.Equal(seen, []byte{0xA0, 0xA1, 0xA2}) {
+		t.Fatalf("reported %x after the repost, want the two stalled frames in order", seen)
+	}
+
+	// Frames 3 and 4 cross a checkpoint in the pending list.
+	r2 := newNICRig(t, true)
+	r2.n.OnDelivered = hook(r2)
+	r2.copyDMAFrom(r)
+	if err := r2.n.LoadState(r.n.SaveState()); err != nil {
+		t.Fatal(err)
+	}
+	r2.io.IOWrite32(dev.NICRegRxTail, r2.postRX(r2.postRX(3)))
+	r2.kick()
+	if !bytes.Equal(seen, []byte{0xA0, 0xA1, 0xA2, 0xA3, 0xA4}) {
+		t.Fatalf("reported %x after the restore, want every frame exactly once", seen)
+	}
+	r.kick()
+	r2.fire()
+	if len(seen) != 5 {
+		t.Fatalf("a frame was reported twice: %x", seen)
+	}
+}
+
+// FuzzNICDescriptors lets the input play a hostile driver: it scribbles
+// arbitrary words over both descriptor rings and rings every doorbell
+// with arbitrary counts while the wire keeps delivering. The device must
+// never panic the host, and a TX doorbell must never allocate more than
+// one DMA region's worth of host memory per descriptor it consumed —
+// guest-written lengths do not size host buffers.
+func FuzzNICDescriptors(f *testing.F) {
+	le := binary.LittleEndian
+	desc := func(op byte, slot byte, off, length, tag, own uint32) []byte {
+		b := []byte{op, slot}
+		for _, v := range []uint32{off, length, tag, own} {
+			b = le.AppendUint32(b, v)
+		}
+		return b
+	}
+	bell := func(op byte, v uint32) []byte { return le.AppendUint32([]byte{op}, v) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	// The two reproduced host faults: an RX buffer at the region's end,
+	// and a 2 GiB TX length.
+	f.Add(cat(desc(1, 0, mem.PageSize*16, 0, 0, 1), bell(3, 1), []byte{4, 4}))
+	f.Add(cat(desc(0, 0, nicTxBuf, 0x7FFF_FFF0, 0, 1), bell(2, 1)))
+	// Own bits that wrap the ring: every slot published and the doorbell
+	// far ahead, own values other than 0 and 1, a tail that runs backwards.
+	f.Add(cat(desc(0, 0, nicTxBuf, 8, 1, 1), desc(0, 1, nicTxBuf, 8, 2, 1), desc(0, 2, nicTxBuf, 8, 3, 1),
+		desc(0, 3, nicTxBuf, 8, 4, 1), bell(2, 0xFFFF_FFFF), bell(2, 3)))
+	f.Add(cat(desc(1, 0, nicRxBuf, 0, 0, 1), desc(1, 1, nicRxBuf, 0, 0, 0xFFFF_FFFF), desc(1, 3, 0xFFFF_F000, 0, 0, 1),
+		bell(3, 0x8000_0004), []byte{4, 200, 4, 1, 4, 0}, bell(3, 2), []byte{7}, bell(5, 9), bell(6, 1), []byte{7}))
+
+	f.Fuzz(func(t *testing.T, script []byte) {
+		r := newNICRig(t, len(script)%2 == 0)
+		r.n.OnTransmit = func(int, uint32, []byte) {}
+		payload := make([]byte, 2*mem.PageSize+5)
+		next := func(n int) []byte {
+			if short := n - len(script); short > 0 {
+				script = append(script, make([]byte, short)...) // a truncated op reads zeros
+			}
+			b := script[:n]
+			script = script[n:]
+			return b
+		}
+		for len(script) > 0 {
+			switch op := next(1)[0] % 8; op {
+			case 0, 1: // overwrite a TX (0) or RX (1) descriptor
+				b := next(17)
+				da := uint32(nicTxRing) + uint32(op)*(nicRxRing-nicTxRing) + uint32(b[0]%nicSlots)*dev.NICDescBytes
+				for w := uint32(0); w < 4; w++ {
+					r.w32(da+4*w, le.Uint32(b[1+4*w:]))
+				}
+			case 2: // TX doorbell, with the allocation bound
+				v := le.Uint32(next(4))
+				var m0, m1 runtime.MemStats
+				head := r.io.IORead32(dev.NICRegTxHead)
+				runtime.ReadMemStats(&m0)
+				r.io.IOWrite32(dev.NICRegTxTail, v)
+				runtime.ReadMemStats(&m1)
+				consumed := uint64(r.io.IORead32(dev.NICRegTxHead) - head)
+				if got, limit := m1.TotalAlloc-m0.TotalAlloc, consumed*uint64(r.dma.Size)+64<<10; got > limit {
+					t.Fatalf("TX doorbell consumed %d descriptors and allocated %d bytes (limit %d)", consumed, got, limit)
+				}
+				if consumed > nicSlots {
+					t.Fatalf("one TX doorbell consumed %d descriptors from a %d-slot ring", consumed, nicSlots)
+				}
+			case 3:
+				r.io.IOWrite32(dev.NICRegRxTail, le.Uint32(next(4)))
+			case 4: // the wire delivers a frame of up to two pages and a bit
+				n := int(next(1)[0]) * len(payload) / 255
+				r.n.Deliver(0, uint32(n), payload[:n])
+			case 5:
+				r.io.IOWrite32(dev.NICRegIntrArm, le.Uint32(next(4)))
+			case 6:
+				r.io.IOWrite32(dev.NICRegIRQAck, 1)
+			case 7:
+				r.fire()
+			}
+		}
+		r.fire()
+		if c := r.n.Counters(); c.RxBytes > c.RxFrames*uint64(len(payload)) {
+			t.Fatalf("counters out of shape: %+v", c)
+		}
+	})
 }

@@ -24,11 +24,13 @@
 // The simulated remote end (Responder) lives host-side: consumed TX
 // frames come out of NIC.OnTransmit, and after a modeled wire latency
 // the response frame is injected with NIC.Deliver on the queue's
-// home-CPU clock. Pinning each queue — driver space, NIC timers, wire
-// timers — to one CPU makes device DMA and guest execution naturally
-// serial (they share the CPU's goroutine under ParallelHost), which is
-// the same one-RX-ring-per-CPU shape real NAPI drivers want for cache
-// locality; here it is also the memory-model discipline.
+// home-CPU clock; NIC.OnDelivered hands the body back once it is in
+// guest memory, so a queue cycles through a few bodies instead of
+// allocating one per reply. Pinning each queue — driver space, NIC
+// timers, wire timers — to one CPU makes device DMA and guest execution
+// naturally serial (they share the CPU's goroutine under ParallelHost),
+// which is the same one-RX-ring-per-CPU shape real NAPI drivers want
+// for cache locality; here it is also the memory-model discipline.
 package netsrv
 
 import (
@@ -157,6 +159,13 @@ type Queue struct {
 	Ports   []*obj.Port // one per worker; clients round-robin
 	IRQLine int
 	Home    int // the CPU everything about this queue is pinned to
+
+	// The remote end's response bodies, each BufPages long. free holds
+	// all-zero ones; wire holds those handed to NIC.Deliver, stamps
+	// written, until NIC.OnDelivered reports them back. Both are touched
+	// only on the home CPU's goroutine (TX doorbell and timer context), and
+	// together never outnumber the requests in flight — one per worker.
+	free, wire [][]byte
 }
 
 // Service is the attached NIC + user-mode network server.
@@ -213,6 +222,7 @@ func Attach(k *core.Kernel, cfg Config) (*Service, error) {
 	sv.NIC = nic
 	sv.Queues = qs
 	nic.OnTransmit = sv.respond(k)
+	nic.OnDelivered = sv.delivered
 	nic.Tracer = k.Tracer
 
 	for qi, q := range qs {
@@ -319,14 +329,46 @@ func (sv *Service) respond(k *core.Kernel) func(qi int, tag uint32, frame []byte
 		if max := uint32(sv.Cfg.BufPages) * mem.PageSize / 4; respWords > max {
 			respWords = max
 		}
-		body := make([]byte, respWords*4)
+		q := sv.Queues[qi]
+		var body []byte
+		if n := len(q.free); n > 0 {
+			body, q.free = q.free[n-1], q.free[:n-1]
+		} else {
+			body = make([]byte, sv.Cfg.BufPages*mem.PageSize)
+		}
+		body = body[:respWords*4]
 		for p := uint32(0); p*mem.PageSize < uint32(len(body)); p++ {
 			binary.LittleEndian.PutUint32(body[p*mem.PageSize:], ResponseStamp(conn, seq, p))
 		}
-		home := sv.Queues[qi].Home
-		k.CPUClock(home).After(sv.Cfg.WireCycles, func(uint64) {
+		q.wire = append(q.wire, body)
+		k.CPUClock(q.Home).After(sv.Cfg.WireCycles, func(uint64) {
 			sv.NIC.Deliver(qi, tag, body)
 		})
+	}
+}
+
+// delivered is NIC.OnDelivered: the frame has landed, so its body goes
+// back on the queue's free list with the stamps wiped — the only non-zero
+// words respond ever writes. A payload that is not one of the queue's own
+// (a test or a restored checkpoint injecting frames of its own) is left
+// alone: the free list must hold nothing but all-zero buffers.
+func (sv *Service) delivered(qi int, payload []byte) {
+	if len(payload) == 0 {
+		return // respond never sends an empty body
+	}
+	q := sv.Queues[qi]
+	for i, body := range q.wire {
+		if &body[0] != &payload[0] {
+			continue
+		}
+		for p := 0; p < len(body); p += mem.PageSize {
+			binary.LittleEndian.PutUint32(body[p:], 0)
+		}
+		last := len(q.wire) - 1
+		q.wire[i], q.wire[last] = q.wire[last], nil
+		q.wire = q.wire[:last]
+		q.free = append(q.free, body[:cap(body)])
+		return
 	}
 }
 

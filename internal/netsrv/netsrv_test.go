@@ -1,16 +1,13 @@
 package netsrv_test
 
 import (
-	"encoding/binary"
 	"fmt"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/mem"
-	"repro/internal/mmu"
 	"repro/internal/netsrv"
 	"repro/internal/obj"
-	"repro/internal/prog"
 )
 
 // TestResponseStampPacking pins the stamp layout clients decode: conn in
@@ -51,13 +48,6 @@ func TestAttachRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// Client-space layout of the Attach test.
-const (
-	clCode = 0x0001_0000 // + client*0x1000
-	clReq  = 0x0004_0000 // + client*64: the 3-word request
-	clBuf  = 0x0020_0000 // + (client*rpcs + rpc)*bufPages pages: one receive buffer per RPC
-)
-
 // TestAttachServesEveryStamp runs the smallest server — one queue, one
 // worker — against two clients on two CPUs under the big and the fine lock
 // model. Every RPC receives into its own buffer, so after the run the test
@@ -68,83 +58,29 @@ func TestAttachServesEveryStamp(t *testing.T) {
 	const (
 		clients   = 2
 		rpcs      = 3
-		bufPages  = 3
 		respWords = 2*mem.PageSize/4 + 16 // reaches into the third page: a zero-copy sized reply
 	)
 	for _, lm := range []core.LockModel{core.LockBig, core.LockFine} {
 		lm := lm
 		t.Run(fmt.Sprintf("lockmodel=%v", lm), func(t *testing.T) {
-			k := core.New(core.Config{Model: core.ModelInterrupt, Preempt: core.PreemptPartial,
-				NumCPUs: 2, LockModel: lm})
-			defer k.Shutdown()
-			sv, err := netsrv.Attach(k, netsrv.Config{Queues: 1, Workers: 1, BufPages: bufPages})
-			if err != nil {
-				t.Fatal(err)
-			}
+			r := newRig(t, core.Config{Model: core.ModelInterrupt, Preempt: core.PreemptPartial,
+				NumCPUs: 2, LockModel: lm}, netsrv.Config{Queues: 1, Workers: 1, BufPages: 3}, clients*rpcs)
+			k, sv := r.k, r.sv
 			if len(sv.Queues) != 1 || len(sv.Queues[0].Workers) != 1 || len(sv.Queues[0].Ports) != 1 {
 				t.Fatalf("Attach built %d queues, want 1 queue / 1 worker / 1 port", len(sv.Queues))
 			}
-
-			cs := k.NewSpace()
-			k.SetSpaceHome(cs, 1) // the driver space is pinned to CPU 0
-			const bufBytes = clients * rpcs * bufPages * mem.PageSize
-			for _, m := range []struct{ handle, va, size uint32 }{
-				{core.KObjBase + 0x900, clReq, mem.PageSize},
-				{core.KObjBase + 0x908, clBuf, bufBytes},
-			} {
-				r, err := k.NewBoundRegion(cs, m.handle, m.size, true)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := k.MapInto(cs, r, m.va, 0, m.size, mmu.PermRW); err != nil {
-					t.Fatal(err)
-				}
-			}
-			rbuf := func(c, j int) uint32 {
-				return clBuf + uint32((c*rpcs+j)*bufPages)*mem.PageSize
-			}
+			k.SetSpaceHome(r.cs, 1) // the driver space is pinned to CPU 0
 			var threads []*obj.Thread
 			for c := 0; c < clients; c++ {
-				conn, req := uint32(c+1), uint32(clReq+c*64)
-				refVA := sv.ClientRef(k, cs, 0, c)
-				b := prog.New(uint32(clCode + c*0x1000))
-				for j := 0; j < rpcs; j++ {
-					b.Movi(1, req).
-						Movi(2, conn).St(1, 0, 2).
-						Movi(2, uint32(j)).St(1, 4, 2).
-						Movi(2, respWords).St(1, 8, 2)
-					b.IPCClientConnectSendOverReceive(req, 3, refVA, rbuf(c, j), respWords).
-						IPCClientDisconnect()
-				}
-				b.Halt()
-				th, err := k.SpawnProgram(cs, b.Base(), b.MustAssemble(), 10)
-				if err != nil {
-					t.Fatal(err)
-				}
-				threads = append(threads, th)
+				threads = append(threads, r.client(uint32(c+1), c*rpcs, []uint32{respWords, respWords, respWords}, false))
 			}
-
 			k.RunFor(200_000_000)
 			for c, th := range threads {
 				if !th.Exited {
 					t.Fatalf("client %d did not finish (state=%v pc=%#x r0=%d)", c, th.State, th.Regs.PC, th.Regs.R[0])
 				}
-			}
-			for c := 0; c < clients; c++ {
 				for j := 0; j < rpcs; j++ {
-					body, err := k.ReadMem(cs, rbuf(c, j), bufPages*mem.PageSize)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for w := 0; w < len(body)/4; w++ {
-						want := uint32(0)
-						if page := uint32(w*4) / mem.PageSize; w < respWords && uint32(w*4)%mem.PageSize == 0 {
-							want = netsrv.ResponseStamp(uint32(c+1), uint32(j), page)
-						}
-						if got := binary.LittleEndian.Uint32(body[w*4:]); got != want {
-							t.Fatalf("client %d rpc %d word %d = %#x, want %#x", c, j, w, got, want)
-						}
-					}
+					r.checkReply(uint32(c+1), c*rpcs+j, respWords)
 				}
 			}
 			const connections = clients * rpcs

@@ -10,8 +10,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/dev"
@@ -302,6 +305,50 @@ func BenchmarkMigrate(b *testing.B) {
 	b.ReportMetric(float64(r.DowntimeCycles)/clock.CyclesPerMicrosecond, "downtime-virtual-us")
 	b.ReportMetric(float64(r.StopCopyCycles)/clock.CyclesPerMicrosecond, "stopcopy-virtual-us")
 	b.ReportMetric(r.Ratio, "downtime-ratio")
+}
+
+// BenchmarkSnapshotDelta measures one warm pre-copy round on the same
+// 4 MiB / 32-hot-page writer: the source runs one transfer window, then
+// SnapshotMemoryDelta captures what it dirtied against the previous
+// image. Cost should follow the dirty set, not the resident set, so host
+// time and allocation are reported per *dirty* frame (PageSize of the B
+// figure is the page copy itself). ns/op and B/op include the source's
+// RunFor; the per-dirty-frame time does not.
+func BenchmarkSnapshotDelta(b *testing.B) {
+	k := core.New(core.Config{Model: core.ModelProcess})
+	defer k.Shutdown()
+	s, err := experiments.NewMigrateWriter(k, 4<<20, 32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	parent, err := checkpoint.SnapshotMemory(k, s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	b.ResetTimer()
+	dirty := 0
+	var snap time.Duration
+	for i := 0; i < b.N; i++ {
+		k.RunFor(32 * checkpoint.DefaultXferCyclesPerPage)
+		t0 := time.Now()
+		d, img, err := checkpoint.SnapshotMemoryDelta(k, s, parent)
+		snap += time.Since(t0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		parent = img
+		dirty += len(d.Frames)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms1)
+	if dirty == 0 {
+		b.Fatal("the writer dirtied no page between snapshots")
+	}
+	b.ReportMetric(float64(snap.Nanoseconds())/float64(dirty), "ns/dirty-frame")
+	b.ReportMetric(float64(ms1.TotalAlloc-ms0.TotalAlloc)/float64(dirty), "B/dirty-frame")
 }
 
 // BenchmarkIPCRoundTrip measures the simulator's full RPC path (connect,

@@ -23,10 +23,19 @@
 // was blocked simply restarts its interrupted system call and re-blocks
 // by itself. This is the paper's continuation-in-the-registers design
 // doing its job.
+//
+// The memory side of an image is laid out like the MMU's own tables:
+// each region record carries a dense page table (one frame index per
+// page, in address order) into a flat list of frame records. Capture,
+// Apply and Restore all walk it in address order, so frame indexes and
+// the physical frames a restore hands out are deterministic, and every
+// index and length is validated before use — an image is data, possibly
+// from elsewhere, and a bad one is an error, not a host panic.
 package checkpoint
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dev"
@@ -79,14 +88,20 @@ type FrameRecord struct {
 	Cow  bool // stores must fault so the share can be broken
 }
 
-// RegionRecord captures an exportable memory region and its present
-// pages, each page naming its backing frame in Image.Frames.
+// RegionRecord captures an exportable memory region and its page table.
+// Pages mirrors mmu.Region's own table: one entry per page in address
+// order, holding the index of the backing frame in Image.Frames, or a
+// negative value where the page is absent. A table shorter than the
+// region leaves the tail absent.
 type RegionRecord struct {
 	Size        uint32
 	DemandZero  bool
 	PagerPortVA uint32 // handle VA of the pager port within the image, 0 if none
-	Pages       map[uint32]int
+	Pages       []int32
 }
+
+// absent marks a page with no backing frame in a dense page table.
+const absent = -1
 
 // MappingRecord captures one installed mapping.
 type MappingRecord struct {
@@ -112,22 +127,50 @@ type Image struct {
 	// in-flight timers and pending wire frames.
 	NIC *dev.NICState
 
-	// live maps the physical frames this capture walked to their Frames
-	// indexes. It is transient (identity-based, meaningless outside the
-	// source kernel) and exists so the image can serve as the parent of
-	// a later delta snapshot: a page still backed by a frame in live,
-	// and clean per the dirty tracker, need not be captured again.
-	live map[*mem.Frame]int
+	// src makes the image usable as the parent of a later delta snapshot
+	// of the same live space: src[i] is the live region Regions[i] was
+	// walked from and the tracking epoch this capture armed on it. A page
+	// of that region the tracker still vouches for is backed by the very
+	// frame Regions[i].Pages names at the same page index, so a delta
+	// needs no frame-identity map to find its parent reference. Transient:
+	// identity-based, meaningless outside the source kernel, and empty on
+	// images that were not captured live (Apply's result).
+	src []liveRegion
+}
+
+// liveRegion ties a RegionRecord to the region it was captured from.
+type liveRegion struct {
+	r     *mmu.Region
+	epoch uint64 // r.TrackEpoch() as armed by the capture
 }
 
 // FrameBytes returns the frame payload carried by the image — the
 // dominant cost of a snapshot, and the quantity delta snapshots shrink.
-func (img *Image) FrameBytes() int {
-	n := 0
-	for _, f := range img.Frames {
-		n += len(f.Data)
+// Every frame record of a valid image is exactly one page.
+func (img *Image) FrameBytes() int { return len(img.Frames) * mem.PageSize }
+
+// trackedPages returns the image's page table for live region r — the
+// parent references a delta may use — or nil when the dirty log cannot
+// vouch for it: the image never walked r, tracking was stopped, or
+// someone else re-armed the tracker since (the epoch moved on), throwing
+// away marks this image's chain depended on. hint is where r sits in the
+// caller's walk, which is where it sits in the image unless the set of
+// regions changed.
+func (img *Image) trackedPages(r *mmu.Region, hint int) []int32 {
+	if img == nil {
+		return nil
 	}
-	return n
+	i := hint
+	if i >= len(img.src) || img.src[i].r != r {
+		i = slices.IndexFunc(img.src, func(l liveRegion) bool { return l.r == r })
+		if i < 0 {
+			return nil
+		}
+	}
+	if !r.DirtyTracking() || r.TrackEpoch() != img.src[i].epoch || len(img.Regions[i].Pages) != r.Pages() {
+		return nil
+	}
+	return img.Regions[i].Pages
 }
 
 // memCap accumulates the distinct regions reachable from a space's
@@ -150,9 +193,10 @@ func (c *memCap) regionOf(r *mmu.Region) int {
 	if i, ok := c.idx[r]; ok {
 		return i
 	}
-	c.idx[r] = len(c.regs)
+	i := len(c.regs)
+	c.idx[r] = i
 	c.regs = append(c.regs, r)
-	return c.idx[r]
+	return i
 }
 
 func (c *memCap) pagerVA(r *mmu.Region) uint32 {
@@ -162,44 +206,59 @@ func (c *memCap) pagerVA(r *mmu.Region) uint32 {
 	return 0
 }
 
-// finalizeFull records every present page of every walked region,
-// deduplicating frames by identity, and leaves img able to parent a
-// delta (live map filled, dirty tracking re-armed on all regions).
-func (c *memCap) finalizeFull(img *Image) {
-	frameIdx := map[*mem.Frame]int{}
-	frameOf := func(f *mem.Frame) int {
-		if i, ok := frameIdx[f]; ok {
-			return i
-		}
-		frameIdx[f] = len(img.Frames)
-		img.Frames = append(img.Frames, FrameRecord{
-			Data: append([]byte(nil), f.Data...), Cow: f.Cow,
-		})
-		return frameIdx[f]
-	}
-	img.Regions = make([]RegionRecord, 0, len(c.regs))
-	for _, r := range c.regs {
-		rec := RegionRecord{
-			Size: r.Size, DemandZero: r.DemandZero,
-			PagerPortVA: c.pagerVA(r), Pages: map[uint32]int{},
-		}
-		for off := uint32(0); off < r.Size; off += mem.PageSize {
-			if f := r.FrameAt(off); f != nil {
-				rec.Pages[off] = frameOf(f)
-			}
-		}
-		img.Regions = append(img.Regions, rec)
-	}
-	img.live = frameIdx
-	c.rearm()
+// capture copies live frame f into frames and returns its index.
+func capture(frames *[]FrameRecord, f *mem.Frame) int32 {
+	*frames = append(*frames, FrameRecord{Data: append([]byte(nil), f.Data...), Cow: f.Cow})
+	return int32(len(*frames) - 1)
 }
 
-// rearm restarts dirty tracking on every walked region, making the
-// snapshot just taken a valid delta parent. Arming costs no simulated
-// cycles (see internal/mmu), so every capture does it unconditionally.
-func (c *memCap) rearm() {
+// finalizeFull records every present page of every walked region, in
+// address order, and leaves img able to parent a delta. A frame held by
+// one region slot — all of them, outside zero-copy IPC — is captured
+// where it is met; only a frame aliased into several slots (Refs > 1)
+// goes through an identity map, so it is captured once.
+func (c *memCap) finalizeFull(img *Image) {
+	present := 0
 	for _, r := range c.regs {
+		present += r.PresentPages()
+	}
+	img.Frames = make([]FrameRecord, 0, present)
+	img.Regions = make([]RegionRecord, len(c.regs))
+	aliased := map[*mem.Frame]int32{}
+	for i, r := range c.regs {
+		frames := r.Frames()
+		pages := make([]int32, len(frames))
+		for p, f := range frames {
+			switch {
+			case f == nil:
+				pages[p] = absent
+			case f.Refs == 1:
+				pages[p] = capture(&img.Frames, f)
+			default:
+				fi, ok := aliased[f]
+				if !ok {
+					fi = capture(&img.Frames, f)
+					aliased[f] = fi
+				}
+				pages[p] = fi
+			}
+		}
+		img.Regions[i] = RegionRecord{
+			Size: r.Size, DemandZero: r.DemandZero, PagerPortVA: c.pagerVA(r), Pages: pages,
+		}
+	}
+	c.rearm(img)
+}
+
+// rearm restarts dirty tracking on every walked region and records the
+// regions and their new epochs in img, making the snapshot just taken a
+// valid delta parent. Arming costs no simulated cycles (see
+// internal/mmu), so every capture does it unconditionally.
+func (c *memCap) rearm(img *Image) {
+	img.src = make([]liveRegion, len(c.regs))
+	for i, r := range c.regs {
 		r.StartDirtyTracking()
+		img.src[i] = liveRegion{r: r, epoch: r.TrackEpoch()}
 	}
 }
 
@@ -297,7 +356,6 @@ func captureStruct(k *core.Kernel, s *obj.Space, c *memCap) (threads []ThreadRec
 			}
 			objects = append(objects, rec)
 		}
-		_ = h
 	}
 	return threads, objects, mappings
 }
@@ -326,35 +384,94 @@ func RestoreNIC(img *Image, nic *dev.NIC) error {
 	return nic.LoadState(img.NIC)
 }
 
+// validate checks every index and length Restore is about to trust, so
+// an image that arrived from outside — decoded, edited, hostile — is
+// refused with an error instead of panicking the host half-way through.
+func (img *Image) validate() error {
+	for i, fr := range img.Frames {
+		if len(fr.Data) != mem.PageSize {
+			return fmt.Errorf("checkpoint: frame %d holds %d bytes, want %d", i, len(fr.Data), mem.PageSize)
+		}
+	}
+	for i, rr := range img.Regions {
+		if n := mem.PageRound(rr.Size) / mem.PageSize; uint64(len(rr.Pages)) > uint64(n) {
+			return fmt.Errorf("checkpoint: region %d has a %d-entry page table but only %d pages", i, len(rr.Pages), n)
+		}
+		for p, fi := range rr.Pages {
+			if int(fi) >= len(img.Frames) {
+				return fmt.Errorf("checkpoint: region %d page %d names frame %d of %d", i, p, fi, len(img.Frames))
+			}
+		}
+	}
+	for i, mr := range img.Mappings {
+		if mr.RegionIdx < 0 || mr.RegionIdx >= len(img.Regions) {
+			return fmt.Errorf("checkpoint: mapping %d names region %d of %d", i, mr.RegionIdx, len(img.Regions))
+		}
+	}
+	for _, or := range img.Objects {
+		if or.Type == sys.ObjRegion && (or.RegionIdx < 0 || or.RegionIdx >= len(img.Regions)) {
+			return fmt.Errorf("checkpoint: region object at %#x names region %d of %d", or.VA, or.RegionIdx, len(img.Regions))
+		}
+		if or.Type == sys.ObjMapping && or.MappingIdx >= len(img.Mappings) {
+			return fmt.Errorf("checkpoint: mapping object at %#x names mapping %d of %d", or.VA, or.MappingIdx, len(img.Mappings))
+		}
+	}
+	for _, tr := range img.Threads {
+		if tr.HomeCPU < 0 {
+			return fmt.Errorf("checkpoint: thread %d has home CPU %d", tr.OldID, tr.HomeCPU)
+		}
+	}
+	return nil
+}
+
 // Restore materializes an image as a new space on kernel k2 (which may be
 // a different kernel instance — that is migration). Restored threads are
-// stopped; start them with StartAll.
+// stopped; start them with StartAll. The image is only read — frame
+// contents are copied — so it can be restored again, or keep serving as
+// the parent of further deltas whose records share its buffers.
 func Restore(k2 *core.Kernel, img *Image) (*obj.Space, []*obj.Thread, error) {
+	return restore(k2, img, false)
+}
+
+// restore is Restore with a say over who ends up owning the image's page
+// buffers. With adopt set they are handed to k2's allocator as the new
+// frames' Data (mem.Allocator.AllocFrom), so a page crosses with no copy
+// at all; img.Frames then aliases live guest memory and the image, and
+// every image chained to it, must be dropped. Only Migrate and
+// MigratePrecopy, whose image chains never escape, may ask for that.
+func restore(k2 *core.Kernel, img *Image, adopt bool) (*obj.Space, []*obj.Thread, error) {
+	if err := img.validate(); err != nil {
+		return nil, nil, err
+	}
 	s := k2.NewSpace()
 
-	// Regions and their contents. Frames are materialized once, on first
-	// reference; a later slot naming the same frame index shares it, so
-	// the image's COW structure (one backing frame, refcount = number of
-	// region slots) survives the round trip.
+	// Regions and their contents, in address order so the frames each
+	// page receives (PFNs included) are a function of the image alone.
+	// Frames are materialized once, on first reference; a later slot
+	// naming the same frame index shares it, so the image's COW structure
+	// (one backing frame, refcount = number of region slots) survives the
+	// round trip.
 	frames := make([]*mem.Frame, len(img.Frames))
 	regions := make([]*mmu.Region, len(img.Regions))
 	for i, rr := range img.Regions {
 		r := mmu.NewRegion(rr.Size, rr.DemandZero)
-		for off, fi := range rr.Pages {
+		for p, fi := range rr.Pages {
+			if fi < 0 {
+				continue
+			}
 			f := frames[fi]
 			if f == nil {
 				var err error
-				f, err = k2.Alloc.Alloc()
+				f, err = k2.Alloc.AllocFrom(img.Frames[fi].Data, adopt)
 				if err != nil {
 					return nil, nil, err
 				}
-				copy(f.Data, img.Frames[fi].Data)
 				f.Cow = img.Frames[fi].Cow
 				frames[fi] = f
 			} else {
 				k2.Alloc.Share(f)
 			}
-			r.Populate(off, f)
+			r.Populate(uint32(p)<<mem.PageShift, f)
 		}
 		regions[i] = r
 	}
@@ -517,7 +634,7 @@ func Migrate(k1 *core.Kernel, s *obj.Space, k2 *core.Kernel) (*obj.Space, []*obj
 		k1.DestroyThread(t)
 	}
 	s.Dead = true
-	s2, threads, err := Restore(k2, img)
+	s2, threads, err := restore(k2, img, true) // img dies here: hand its buffers over
 	if err != nil {
 		return nil, nil, err
 	}

@@ -29,7 +29,7 @@ const (
 // strict cond-variable alternation appending (1000+round) and (2000+round)
 // to a shared log, with periodic sleeps thrown in so captures land inside
 // thread_sleep, mutex_lock, and cond_wait at different times.
-func buildWorkload(t *testing.T, k *core.Kernel, rounds int) (*obj.Space, []*obj.Thread) {
+func buildWorkload(t testing.TB, k *core.Kernel, rounds int) (*obj.Space, []*obj.Thread) {
 	t.Helper()
 	s := k.NewSpace()
 	data := &obj.Region{Header: obj.Header{Type: sys.ObjRegion}, R: mmu.NewRegion(dataLen, true)}

@@ -6,49 +6,63 @@
 // shapes are a few hundred bytes — but frame payloads, the dominant
 // cost, only for pages the dirty tracker cannot prove unchanged. A page
 // may reference its parent's frame record instead of carrying bytes
-// when three things hold: its region has been tracking since the parent
-// was taken, the tracker never logged the page (no store, no
-// frame-identity or sharing change — see internal/mmu), and the parent
-// actually captured the backing frame. Because any change of a page's
-// backing frame is logged, a clean page has referenced the same pinned
-// frame continuously since arming, so the parent's identity map (live)
-// cannot be fooled by a freed-and-recycled frame pointer.
+// when three things hold: its region has been tracking, undisturbed,
+// since the parent armed it (same tracking epoch — an unrelated
+// snapshot re-arming the region in between voids the log); the tracker
+// never logged the page (no store, no frame-identity or sharing change
+// — see internal/mmu); and the parent actually holds the page. Because
+// any change of a page's backing frame is logged, a clean page has been
+// backed by the same frame continuously since the parent walked it, so
+// its reference is simply the parent's page-table entry at the same
+// region and page. No frame-identity map is consulted: page tables are
+// dense slices mirroring mmu.Region's, and the parent remembers which
+// live region each of its records came from (Image.src).
 //
-// The decision is made per frame, globally: a frame aliased into
-// several region slots by zero-copy IPC is parent-referenced only if
-// every aliasing page is clean, and captured exactly once otherwise —
-// so the restored sharing structure (refcounts, copy-on-write marks)
-// is identical whichever path a page took. TestDeltaEquivalence pins
-// base+delta restore bit-identical to full-image restore, the same way
-// every fast path in this repo is pinned against its slow path.
+// Frames aliased into several region slots by zero-copy IPC (Refs > 1)
+// are the exception. For them the decision is made per frame, globally:
+// such a frame is parent-referenced only if every aliasing page is
+// clean, and captured exactly once otherwise — so the restored sharing
+// structure (refcounts, copy-on-write marks) is identical whichever
+// path a page took. They, and only they, go through an identity map.
+// TestDeltaEquivalence pins base+delta restore bit-identical to
+// full-image restore, the same way every fast path in this repo is
+// pinned against its slow path.
+//
+// Buffer ownership: a FrameRecord's Data is written once, when the frame
+// is captured, and is immutable from then on. Apply shares it between
+// the delta, the parent and the image it returns; Restore copies out of
+// it. Only a migration's final restore — whose whole chain is private
+// and about to be dropped — gives the buffers away (see restore).
 package checkpoint
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/dev"
 	"repro/internal/mem"
+	"repro/internal/mmu"
 	"repro/internal/obj"
 )
 
-// PageRef names the backing frame for one present page of a delta
-// snapshot: an index into the delta's own Frames when Delta is set, or
-// into the parent image's Frames when the page was provably unchanged.
+// PageRef names the backing frame of one page of a delta snapshot: an
+// index into the delta's own Frames when Delta is set, or into the parent
+// image's Frames when the page was provably unchanged. A negative Idx
+// marks an absent page.
 type PageRef struct {
 	Delta bool
-	Idx   int
+	Idx   int32
 }
 
 // DeltaRegionRecord is a RegionRecord whose pages may reference parent
-// frames. Every present page appears — a page absent here but present
-// in the parent was evicted and stays absent after restore.
+// frames. Pages is dense like RegionRecord's — one entry per page in
+// address order — so a page absent here but present in the parent was
+// evicted and stays absent after restore.
 type DeltaRegionRecord struct {
 	Size        uint32
 	DemandZero  bool
 	PagerPortVA uint32
-	Pages       map[uint32]PageRef
+	Pages       []PageRef
 }
 
 // DeltaImage is a snapshot taken against a parent Image. Structure is
@@ -70,145 +84,172 @@ type DeltaImage struct {
 // FrameBytes returns the frame payload the delta actually carries: the
 // transfer cost of shipping this snapshot given the receiver already
 // holds the parent.
-func (d *DeltaImage) FrameBytes() int {
-	n := 0
-	for _, f := range d.Frames {
-		n += len(f.Data)
-	}
-	return n
+func (d *DeltaImage) FrameBytes() int { return len(d.Frames) * mem.PageSize }
+
+// Resolutions of an aliased frame (Refs > 1) during finalizeDelta, stored
+// where its delta frame index goes once it has one.
+const (
+	toCapture  = -1 // some aliasing page is not clean: capture, once
+	fromParent = -2 // every aliasing page is clean: reference the parent
+)
+
+// pageClean reports whether page p of live region r may reference the
+// parent's frame: pt is the parent's page table for r (nil when the log
+// cannot be trusted), and the parent must actually hold the page.
+func pageClean(r *mmu.Region, pt []int32, p int) bool {
+	return pt != nil && pt[p] >= 0 && !r.IsDirty(uint32(p)<<mem.PageShift)
 }
 
-// finalizeDelta records every present page of every walked region as a
-// PageRef against parent. It returns identity maps for the frames it
-// captured (frame → delta Frames index) and the frames it referenced
-// from the parent (frame → parent Frames index), so the caller can
-// build the applied image's live map. Tracking is re-armed.
-func (c *memCap) finalizeDelta(d *DeltaImage, parent *Image) (deltaIdx, parentRef map[*mem.Frame]int) {
-	// Sweep 1: decide per frame, across every region that references it.
-	must := map[*mem.Frame]bool{}
-	for _, r := range c.regs {
-		tracking := r.DirtyTracking()
-		for off := uint32(0); off < r.Size; off += mem.PageSize {
-			f := r.FrameAt(off)
-			if f == nil {
-				continue
-			}
-			_, inParent := parent.live[f]
-			if !tracking || r.IsDirty(off) || !inParent {
-				must[f] = true
+// finalizeDelta records every page of every walked region as a PageRef
+// against parent, in address order, and re-arms tracking. A clean page's
+// reference is read straight out of the parent's page table at the same
+// region and page. Only frames aliased into several slots need more: they
+// are swept first so that one dirty alias forces the capture at every
+// site, and deduplicated by identity so they are captured once.
+func (c *memCap) finalizeDelta(d *DeltaImage, parent *Image) {
+	aliased := map[*mem.Frame]int32{}
+	for i, r := range c.regs {
+		pt := parent.trackedPages(r, i)
+		for p, f := range r.Frames() {
+			if f != nil && f.Refs > 1 && !pageClean(r, pt, p) {
+				aliased[f] = toCapture
 			}
 		}
 	}
 
-	// Sweep 2: assign references.
-	deltaIdx = map[*mem.Frame]int{}
-	parentRef = map[*mem.Frame]int{}
-	d.Regions = make([]DeltaRegionRecord, 0, len(c.regs))
-	for _, r := range c.regs {
-		rec := DeltaRegionRecord{
-			Size: r.Size, DemandZero: r.DemandZero,
-			PagerPortVA: c.pagerVA(r), Pages: map[uint32]PageRef{},
-		}
-		for off := uint32(0); off < r.Size; off += mem.PageSize {
-			f := r.FrameAt(off)
-			if f == nil {
-				continue
-			}
-			if must[f] {
-				i, ok := deltaIdx[f]
-				if !ok {
-					i = len(d.Frames)
-					deltaIdx[f] = i
-					d.Frames = append(d.Frames, FrameRecord{
-						Data: append([]byte(nil), f.Data...), Cow: f.Cow,
-					})
+	d.Regions = make([]DeltaRegionRecord, len(c.regs))
+	for i, r := range c.regs {
+		pt := parent.trackedPages(r, i)
+		frames := r.Frames()
+		pages := make([]PageRef, len(frames))
+		for p, f := range frames {
+			switch {
+			case f == nil:
+				pages[p] = PageRef{Idx: absent}
+			case f.Refs == 1 && pageClean(r, pt, p):
+				pages[p] = PageRef{Idx: pt[p]}
+				d.CleanFrames++
+			case f.Refs == 1:
+				pages[p] = PageRef{Delta: true, Idx: capture(&d.Frames, f)}
+			default:
+				fi, seen := aliased[f]
+				switch {
+				case !seen:
+					fi = fromParent
+					aliased[f] = fi
+					d.CleanFrames++
+				case fi == toCapture:
+					fi = capture(&d.Frames, f)
+					aliased[f] = fi
 				}
-				rec.Pages[off] = PageRef{Delta: true, Idx: i}
-			} else {
-				pi := parent.live[f]
-				parentRef[f] = pi
-				rec.Pages[off] = PageRef{Delta: false, Idx: pi}
+				if fi == fromParent {
+					pages[p] = PageRef{Idx: pt[p]}
+				} else {
+					pages[p] = PageRef{Delta: true, Idx: fi}
+				}
 			}
 		}
-		d.Regions = append(d.Regions, rec)
+		d.Regions[i] = DeltaRegionRecord{
+			Size: r.Size, DemandZero: r.DemandZero, PagerPortVA: c.pagerVA(r), Pages: pages,
+		}
 	}
-	d.CleanFrames = len(parentRef)
-	c.rearm()
-	return deltaIdx, parentRef
 }
 
-// apply materializes the delta against parent into a plain Image,
-// returning also the map from parent frame index to new frame index so
-// CaptureDelta can graft an identity live map onto the result. Delta
-// frames occupy indexes [0, len(d.Frames)); parent frames are appended
-// on first reference.
-func (d *DeltaImage) apply(parent *Image) (*Image, map[int]int, error) {
-	img := &Image{
-		Threads:  d.Threads,
-		Objects:  d.Objects,
-		Mappings: d.Mappings,
-		NIC:      d.NIC,
-		Frames:   append([]FrameRecord(nil), d.Frames...),
+// validate checks every index and length Apply is about to trust.
+func (d *DeltaImage) validate(parent *Image) error {
+	own, parentFrames := len(d.Frames), 0
+	if parent != nil {
+		parentFrames = len(parent.Frames)
 	}
-	parentMap := map[int]int{}
-	img.Regions = make([]RegionRecord, 0, len(d.Regions))
-	for _, rr := range d.Regions {
-		rec := RegionRecord{
-			Size: rr.Size, DemandZero: rr.DemandZero,
-			PagerPortVA: rr.PagerPortVA, Pages: map[uint32]int{},
+	for i, fr := range d.Frames {
+		if len(fr.Data) != mem.PageSize {
+			return fmt.Errorf("checkpoint: delta frame %d holds %d bytes, want %d", i, len(fr.Data), mem.PageSize)
 		}
-		// Walk pages in address order: parent frames are appended on
-		// first reference, and a chained delta captured against this
-		// image names them by index, so the order must be a function of
-		// the delta alone — not of map iteration.
-		offs := make([]uint32, 0, len(rr.Pages))
-		for off := range rr.Pages {
-			offs = append(offs, off)
-		}
-		sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-		for _, off := range offs {
-			pr := rr.Pages[off]
-			if pr.Delta {
-				if pr.Idx < 0 || pr.Idx >= len(d.Frames) {
-					return nil, nil, fmt.Errorf("checkpoint: delta frame %d out of range", pr.Idx)
-				}
-				rec.Pages[off] = pr.Idx
-				continue
-			}
-			ni, ok := parentMap[pr.Idx]
-			if !ok {
-				if parent == nil || pr.Idx < 0 || pr.Idx >= len(parent.Frames) {
-					return nil, nil, fmt.Errorf("checkpoint: parent frame %d not available", pr.Idx)
-				}
-				ni = len(img.Frames)
-				img.Frames = append(img.Frames, parent.Frames[pr.Idx])
-				parentMap[pr.Idx] = ni
-			}
-			rec.Pages[off] = ni
-		}
-		img.Regions = append(img.Regions, rec)
 	}
-	return img, parentMap, nil
+	for i, rr := range d.Regions {
+		for p, pr := range rr.Pages {
+			if pr.Delta && int(pr.Idx) >= own {
+				return fmt.Errorf("checkpoint: region %d page %d names delta frame %d of %d", i, p, pr.Idx, own)
+			}
+			if !pr.Delta && int(pr.Idx) >= parentFrames {
+				return fmt.Errorf("checkpoint: region %d page %d names parent frame %d of %d", i, p, pr.Idx, parentFrames)
+			}
+		}
+	}
+	return nil
 }
 
 // Apply materializes the delta against its parent into a plain Image,
 // restorable with Restore like any full snapshot. Applying a chain is
 // just folding: Apply each delta onto the image produced by the last.
+//
+// Delta frames keep their indexes; parent frames follow, appended on
+// first reference while regions and pages are walked in address order,
+// so the result's frame numbering is a function of the delta alone. The
+// result shares its FrameRecord.Data buffers with d and parent: frame
+// records are immutable once captured, and that is what makes a chain
+// cost one copy per dirtied page rather than one per page per round.
 func (d *DeltaImage) Apply(parent *Image) (*Image, error) {
-	img, _, err := d.apply(parent)
-	return img, err
+	if err := d.validate(parent); err != nil {
+		return nil, err
+	}
+	img := &Image{
+		Threads:  d.Threads,
+		Objects:  d.Objects,
+		Mappings: d.Mappings,
+		NIC:      d.NIC,
+		Regions:  make([]RegionRecord, len(d.Regions)),
+	}
+	// moved[pi] is where parent frame pi landed in img.Frames, absent
+	// until some page references it.
+	var moved []int32
+	if parent != nil {
+		moved = make([]int32, len(parent.Frames))
+		for i := range moved {
+			moved[i] = absent
+		}
+	}
+	img.Frames = make([]FrameRecord, len(d.Frames), len(d.Frames)+len(moved))
+	copy(img.Frames, d.Frames)
+	for i, rr := range d.Regions {
+		pages := make([]int32, len(rr.Pages))
+		for p, pr := range rr.Pages {
+			switch {
+			case pr.Idx < 0:
+				pages[p] = absent
+			case pr.Delta:
+				pages[p] = pr.Idx
+			default:
+				if moved[pr.Idx] < 0 {
+					moved[pr.Idx] = int32(len(img.Frames))
+					img.Frames = append(img.Frames, parent.Frames[pr.Idx])
+				}
+				pages[p] = moved[pr.Idx]
+			}
+		}
+		img.Regions[i] = RegionRecord{
+			Size: rr.Size, DemandZero: rr.DemandZero, PagerPortVA: rr.PagerPortVA, Pages: pages,
+		}
+	}
+	return img, nil
 }
 
-// graftLive builds img.live from the walker's identity maps and apply's
-// parent index remapping, so img can itself parent the next delta.
-func graftLive(img *Image, deltaIdx, parentRef map[*mem.Frame]int, parentMap map[int]int) {
-	img.live = make(map[*mem.Frame]int, len(deltaIdx)+len(parentRef))
-	for f, i := range deltaIdx {
-		img.live[f] = i
+// finishDelta turns the walk c has registered into the delta against
+// parent and the materialized image, which takes over as the live
+// space's delta parent (tracking re-armed, walked regions recorded).
+func (c *memCap) finishDelta(k *core.Kernel, d *DeltaImage, parent *Image) (*Image, error) {
+	c.finalizeDelta(d, parent)
+	img, err := d.Apply(parent)
+	if err != nil {
+		return nil, err
 	}
-	for f, pi := range parentRef {
-		img.live[f] = parentMap[pi]
+	c.rearm(img)
+	if k.Metrics != nil {
+		k.Metrics.CkptDeltaSnapshots.Inc()
+		k.Metrics.CkptFramesCaptured.Add(uint64(len(d.Frames)))
+		k.Metrics.CkptFramesClean.Add(uint64(d.CleanFrames))
 	}
+	return img, nil
 }
 
 // CaptureDelta checkpoints space s against parent (an Image previously
@@ -221,13 +262,10 @@ func CaptureDelta(k *core.Kernel, s *obj.Space, parent *Image) (*DeltaImage, *Im
 	d := &DeltaImage{}
 	c := newMemCap(s)
 	d.Threads, d.Objects, d.Mappings = captureStruct(k, s, c)
-	deltaIdx, parentRef := c.finalizeDelta(d, parent)
-	img, parentMap, err := d.apply(parent)
+	img, err := c.finishDelta(k, d, parent)
 	if err != nil {
 		return nil, nil, err
 	}
-	graftLive(img, deltaIdx, parentRef, parentMap)
-	countDelta(k, d)
 	return d, img, nil
 }
 
@@ -273,21 +311,9 @@ func SnapshotMemoryDelta(k *core.Kernel, s *obj.Space, parent *Image) (*DeltaIma
 	d := &DeltaImage{}
 	c := newMemCap(s)
 	walkRegions(s, c)
-	deltaIdx, parentRef := c.finalizeDelta(d, parent)
-	img, parentMap, err := d.apply(parent)
+	img, err := c.finishDelta(k, d, parent)
 	if err != nil {
 		return nil, nil, err
 	}
-	graftLive(img, deltaIdx, parentRef, parentMap)
-	countDelta(k, d)
 	return d, img, nil
-}
-
-func countDelta(k *core.Kernel, d *DeltaImage) {
-	if k.Metrics == nil {
-		return
-	}
-	k.Metrics.CkptDeltaSnapshots.Inc()
-	k.Metrics.CkptFramesCaptured.Add(uint64(len(d.Frames)))
-	k.Metrics.CkptFramesClean.Add(uint64(d.CleanFrames))
 }

@@ -24,49 +24,47 @@ func imageMemEqual(a, b *checkpoint.Image) error {
 		return fmt.Errorf("region count %d vs %d", len(a.Regions), len(b.Regions))
 	}
 	type site struct {
-		reg int
-		off uint32
+		reg, page int
 	}
-	partA := map[int][]site{}
-	partB := map[int][]site{}
+	partA := map[int32][]site{}
+	partB := map[int32][]site{}
 	for i := range a.Regions {
 		ra, rb := a.Regions[i], b.Regions[i]
 		if ra.Size != rb.Size || ra.DemandZero != rb.DemandZero || ra.PagerPortVA != rb.PagerPortVA {
 			return fmt.Errorf("region %d shape differs", i)
 		}
 		if len(ra.Pages) != len(rb.Pages) {
-			return fmt.Errorf("region %d: %d vs %d present pages", i, len(ra.Pages), len(rb.Pages))
+			return fmt.Errorf("region %d: page tables of %d vs %d entries", i, len(ra.Pages), len(rb.Pages))
 		}
-		for off, fa := range ra.Pages {
-			fb, ok := rb.Pages[off]
-			if !ok {
-				return fmt.Errorf("region %d page +%#x present only in first image", i, off)
+		for p, fa := range ra.Pages {
+			fb := rb.Pages[p]
+			if (fa < 0) != (fb < 0) {
+				return fmt.Errorf("region %d page %d present only in one image", i, p)
+			}
+			if fa < 0 {
+				continue
 			}
 			if !bytes.Equal(a.Frames[fa].Data, b.Frames[fb].Data) {
-				return fmt.Errorf("region %d page +%#x contents differ", i, off)
+				return fmt.Errorf("region %d page %d contents differ", i, p)
 			}
 			if a.Frames[fa].Cow != b.Frames[fb].Cow {
-				return fmt.Errorf("region %d page +%#x cow %v vs %v", i, off, a.Frames[fa].Cow, b.Frames[fb].Cow)
+				return fmt.Errorf("region %d page %d cow %v vs %v", i, p, a.Frames[fa].Cow, b.Frames[fb].Cow)
 			}
-			partA[fa] = append(partA[fa], site{i, off})
-			partB[fb] = append(partB[fb], site{i, off})
+			partA[fa] = append(partA[fa], site{i, p})
+			partB[fb] = append(partB[fb], site{i, p})
 		}
 	}
 	// Same partition: the groups of sites sharing one frame must match.
-	groups := map[int][]site{}
+	// (Both walks are in address order, so equal groups are equal slices.)
 	for i := range a.Regions {
-		for off, fa := range a.Regions[i].Pages {
-			fb := b.Regions[i].Pages[off]
-			if g, seen := groups[fa]; seen {
-				if !reflect.DeepEqual(g, partB[fb]) {
-					return fmt.Errorf("sharing partition differs at region %d +%#x", i, off)
-				}
-			} else {
-				groups[fa] = partB[fb]
+		for p, fa := range a.Regions[i].Pages {
+			if fa < 0 {
+				continue
 			}
-			if len(partA[fa]) != len(partB[fb]) {
-				return fmt.Errorf("frame alias count differs at region %d +%#x: %d vs %d",
-					i, off, len(partA[fa]), len(partB[fb]))
+			fb := b.Regions[i].Pages[p]
+			if !reflect.DeepEqual(partA[fa], partB[fb]) {
+				return fmt.Errorf("sharing partition differs at region %d page %d: %v vs %v",
+					i, p, partA[fa], partB[fb])
 			}
 		}
 	}
@@ -275,6 +273,12 @@ const (
 // pre-copy sweet spot: a writable working set far smaller than residency.
 func buildIdleWriter(t *testing.T, k *core.Kernel) (*obj.Space, *obj.Thread) {
 	t.Helper()
+	return buildWriter(t, k, hotPages)
+}
+
+// buildWriter is buildIdleWriter with the hot set's size as a parameter.
+func buildWriter(t *testing.T, k *core.Kernel, hot uint32) (*obj.Space, *obj.Thread) {
+	t.Helper()
 	s := k.NewSpace()
 	big := &obj.Region{Header: obj.Header{Type: sys.ObjRegion}, R: mmu.NewRegion(bigLen, true)}
 	k.BindFresh(s, big)
@@ -288,7 +292,7 @@ func buildIdleWriter(t *testing.T, k *core.Kernel) (*obj.Space, *obj.Thread) {
 
 	b := prog.New(codeBase)
 	b.Label("w").Movi(6, 1).Label("w.loop")
-	for p := uint32(0); p < hotPages; p++ {
+	for p := uint32(0); p < hot; p++ {
 		b.Movi(4, bigBase+p*mem.PageSize).St(4, 0, 6)
 	}
 	b.ThreadSleepUS(50).Addi(6, 6, 1).Jmp("w.loop")

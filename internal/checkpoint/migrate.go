@@ -154,7 +154,9 @@ func MigratePrecopy(k1 *core.Kernel, s *obj.Space, k2 *core.Kernel, opt MigrateO
 	}
 	s.Dead = true
 
-	s2, threads, err := Restore(k2, finalImg)
+	// The image chain was private to this call and dies with it: hand the
+	// final image's page buffers to the destination instead of copying.
+	s2, threads, err := restore(k2, finalImg, true)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/mmu"
+	"repro/internal/obj"
 	"repro/internal/prog"
 	"repro/internal/stats"
 )
@@ -37,21 +38,21 @@ type MigrateResult struct {
 
 const migWSBase = 0x0100_0000
 
-// MigrateCell migrates one writer space and reports the accounting.
-func MigrateCell(ws uint32, hot, rounds int) (MigrateResult, error) {
-	cfg := core.Config{Model: core.ModelProcess}
-	k1 := core.New(cfg)
-	s := k1.NewSpace()
-	reg, err := k1.NewBoundRegion(s, core.KObjBase+0x910, ws, true)
+// NewMigrateWriter builds the sweep's subject on k: a space with ws
+// resident bytes and one thread that rewrites the first hot pages every
+// 20 µs period, already started.
+func NewMigrateWriter(k *core.Kernel, ws uint32, hot int) (*obj.Space, error) {
+	s := k.NewSpace()
+	reg, err := k.NewBoundRegion(s, core.KObjBase+0x910, ws, true)
 	if err != nil {
-		return MigrateResult{}, err
+		return nil, err
 	}
-	if _, err := k1.MapInto(s, reg, migWSBase, 0, ws, mmu.PermRW); err != nil {
-		return MigrateResult{}, err
+	if _, err := k.MapInto(s, reg, migWSBase, 0, ws, mmu.PermRW); err != nil {
+		return nil, err
 	}
 	// Touch every page: the space's residency is the full working set.
-	if err := k1.WriteMem(s, migWSBase, make([]byte, ws)); err != nil {
-		return MigrateResult{}, err
+	if err := k.WriteMem(s, migWSBase, make([]byte, ws)); err != nil {
+		return nil, err
 	}
 
 	// The writer: each 20 µs period rewrites the first hot pages.
@@ -63,14 +64,25 @@ func MigrateCell(ws uint32, hot, rounds int) (MigrateResult, error) {
 	b.ThreadSleepUS(20).Addi(6, 6, 1).Jmp("w.loop")
 	img, err := b.Assemble()
 	if err != nil {
-		return MigrateResult{}, err
+		return nil, err
 	}
-	if _, err := k1.LoadImage(s, scCode, img); err != nil {
-		return MigrateResult{}, err
+	if _, err := k.LoadImage(s, scCode, img); err != nil {
+		return nil, err
 	}
-	th := k1.NewThread(s, 10)
+	th := k.NewThread(s, 10)
 	th.Regs.PC = b.Addr("w")
-	k1.StartThread(th)
+	k.StartThread(th)
+	return s, nil
+}
+
+// MigrateCell migrates one writer space and reports the accounting.
+func MigrateCell(ws uint32, hot, rounds int) (MigrateResult, error) {
+	cfg := core.Config{Model: core.ModelProcess}
+	k1 := core.New(cfg)
+	s, err := NewMigrateWriter(k1, ws, hot)
+	if err != nil {
+		return MigrateResult{}, err
+	}
 	k1.RunFor(100 * clock.CyclesPerMicrosecond)
 
 	k2 := core.New(cfg)

@@ -78,31 +78,71 @@ func NewAllocator(maxFrames int) *Allocator {
 	return &Allocator{limit: maxFrames}
 }
 
-// Alloc returns a zeroed page frame, or ErrNoMemory when the configured
-// physical memory is exhausted.
-func (a *Allocator) Alloc() (*Frame, error) {
+// take pops a recycled frame or grows the pool, and is the one place a
+// frame's bookkeeping (Refs, Cow, Gen, the in-use and peak counts) is set
+// up. Contents are the caller's business: a recycled frame still holds
+// its previous bytes, a grown one has no Data yet.
+func (a *Allocator) take() (*Frame, error) {
+	var f *Frame
 	if n := len(a.free); n > 0 {
-		f := a.free[n-1]
+		f = a.free[n-1]
 		a.free[n-1] = nil
 		a.free = a.free[:n-1]
-		clear(f.Data)
-		f.Bump() // recycled frame: contents changed, derived decodes are stale
+		f.Bump() // recycled frame: contents change, derived decodes are stale
 		f.Refs = 1
 		f.Cow = false
-		a.inUse++
-		if a.inUse > a.peak {
-			a.peak = a.inUse
+	} else {
+		if a.inUse >= a.limit {
+			return nil, ErrNoMemory
 		}
-		return f, nil
+		f = &Frame{PFN: a.nextPFN, Refs: 1}
+		a.nextPFN++
 	}
-	if a.inUse >= a.limit {
-		return nil, ErrNoMemory
-	}
-	f := &Frame{PFN: a.nextPFN, Refs: 1, Data: make([]byte, PageSize)}
-	a.nextPFN++
 	a.inUse++
 	if a.inUse > a.peak {
 		a.peak = a.inUse
+	}
+	return f, nil
+}
+
+// Alloc returns a zeroed page frame, or ErrNoMemory when the configured
+// physical memory is exhausted.
+func (a *Allocator) Alloc() (*Frame, error) {
+	f, err := a.take()
+	if err != nil {
+		return nil, err
+	}
+	if f.Data == nil {
+		f.Data = make([]byte, PageSize)
+	} else {
+		clear(f.Data)
+	}
+	return f, nil
+}
+
+// AllocFrom returns a frame holding the PageSize bytes of page, written
+// at most once: no zero-fill precedes the copy. With adopt set the
+// allocator takes ownership of the buffer — a grown frame uses page
+// itself as its Data, with no copy at all, and the caller must not touch
+// it again. (A recycled frame already owns a buffer and is copied into
+// either way.)
+func (a *Allocator) AllocFrom(page []byte, adopt bool) (*Frame, error) {
+	if len(page) != PageSize {
+		panic(fmt.Sprintf("mem: frame contents of %d bytes", len(page)))
+	}
+	f, err := a.take()
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case f.Data != nil:
+		copy(f.Data, page)
+	case adopt:
+		f.Data = page
+	default:
+		data := make([]byte, PageSize) // make+copy: the runtime skips the zeroing
+		copy(data, page)
+		f.Data = data
 	}
 	return f, nil
 }

@@ -243,3 +243,72 @@ func TestDoubleFreeMentionsFrame(t *testing.T) {
 	}()
 	a.Free(f)
 }
+
+// TestAllocFromMatchesAlloc pins AllocFrom to Alloc's bookkeeping: the
+// same op sequence through either constructor leaves the same PFNs,
+// refcounts, generations, in-use and peak counts and exhaustion point —
+// only the contents (and, when adopting, who owns the buffer) differ.
+func TestAllocFromMatchesAlloc(t *testing.T) {
+	page := func(b byte) []byte {
+		p := make([]byte, PageSize)
+		for i := range p {
+			p[i] = b + byte(i%5)
+		}
+		return p
+	}
+	for _, adopt := range []bool{false, true} {
+		ref, a := NewAllocator(3), NewAllocator(3)
+		var refLive, live []*Frame
+		step := func(free int) {
+			t.Helper()
+			if free >= 0 {
+				ref.Free(refLive[free])
+				a.Free(live[free])
+				refLive = append(refLive[:free], refLive[free+1:]...)
+				live = append(live[:free], live[free+1:]...)
+			} else {
+				src := page(byte(len(live)) + 0x30)
+				want := append([]byte(nil), src...)
+				rf, rerr := ref.Alloc()
+				f, err := a.AllocFrom(src, adopt)
+				if err != rerr {
+					t.Fatalf("adopt=%v: AllocFrom err %v, Alloc err %v", adopt, err, rerr)
+				}
+				if err != nil {
+					return
+				}
+				if f.PFN != rf.PFN || f.Refs != rf.Refs || f.Gen != rf.Gen || f.Cow != rf.Cow {
+					t.Fatalf("adopt=%v: frame %+v vs Alloc's %+v", adopt, *f, *rf)
+				}
+				if string(f.Data) != string(want) || len(f.Data) != PageSize {
+					t.Fatalf("adopt=%v: frame %d does not hold the source bytes", adopt, f.PFN)
+				}
+				grown := rf.Gen == 0
+				if owns := &f.Data[0] == &src[0]; owns != (adopt && grown) {
+					t.Fatalf("adopt=%v grown=%v: frame uses the caller's buffer = %v", adopt, grown, owns)
+				}
+				f.Cow = true // must not survive recycling, as with Alloc
+				rf.Cow = true
+				refLive, live = append(refLive, rf), append(live, f)
+			}
+			if a.InUse() != ref.InUse() || a.Peak() != ref.Peak() {
+				t.Fatalf("adopt=%v: InUse/Peak %d/%d vs Alloc's %d/%d", adopt, a.InUse(), a.Peak(), ref.InUse(), ref.Peak())
+			}
+		}
+		for _, op := range []int{-1, -1, -1, -1 /* ErrNoMemory */, 1, 0, -1 /* recycled */, -1, -1 /* full again */} {
+			step(op)
+		}
+		if a.InUse() != 3 {
+			t.Fatalf("adopt=%v: sequence ended with %d frames in use, want the limit", adopt, a.InUse())
+		}
+	}
+}
+
+func TestAllocFromRejectsShortPage(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AllocFrom accepted a buffer that is not one page")
+		}
+	}()
+	NewAllocator(1).AllocFrom(make([]byte, PageSize-1), true)
+}

@@ -299,3 +299,68 @@ func TestDirtyTrackingFuzzAgainstGenerations(t *testing.T) {
 		}
 	}
 }
+
+// TestDirtyLogMatchesMapOracle drives the bitmap + append-only log with
+// random Mark/IsDirty/Start/Stop sequences (out-of-range offsets
+// included) against the representation it replaced, a plain set of page
+// indexes. After every step the two must agree on every page, on the
+// count, and the log must hold each dirty page exactly once, in the order
+// the pages were first marked. Sizes straddle the 64-page word boundary.
+func TestDirtyLogMatchesMapOracle(t *testing.T) {
+	for _, pages := range []uint32{1, 63, 64, 65, 1000} {
+		rng := rand.New(rand.NewSource(int64(pages)))
+		r := NewRegion(pages*mem.PageSize, true)
+		oracle := map[uint32]struct{}{}
+		var order []uint32 // first-mark order since the last Start
+		tracking := false
+		epoch := r.TrackEpoch()
+
+		check := func(step int) {
+			t.Helper()
+			if r.DirtyCount() != len(oracle) {
+				t.Fatalf("%d pages, step %d: DirtyCount=%d, oracle holds %d", pages, step, r.DirtyCount(), len(oracle))
+			}
+			if len(r.dirtyLog) != len(order) {
+				t.Fatalf("%d pages, step %d: log %v, want %v", pages, step, r.dirtyLog, order)
+			}
+			for i, p := range order {
+				if r.dirtyLog[i] != p {
+					t.Fatalf("%d pages, step %d: log %v, want first-mark order %v", pages, step, r.dirtyLog, order)
+				}
+			}
+			for p := uint32(0); p < pages+2; p++ {
+				_, want := oracle[p]
+				if got := r.IsDirty(p*mem.PageSize + uint32(rng.Intn(mem.PageSize))); got != want {
+					t.Fatalf("%d pages, step %d: IsDirty(page %d)=%v, oracle says %v", pages, step, p, got, want)
+				}
+			}
+			if r.DirtyTracking() != tracking || r.TrackEpoch() != epoch {
+				t.Fatalf("%d pages, step %d: tracking=%v epoch=%d, want %v %d",
+					pages, step, r.DirtyTracking(), r.TrackEpoch(), tracking, epoch)
+			}
+		}
+
+		check(-1) // never armed: nothing dirty, nothing panics
+		for step := 0; step < 3000; step++ {
+			switch op := rng.Intn(100); {
+			case op < 80: // mark, sometimes past the end
+				p := uint32(rng.Intn(int(pages) + 2))
+				r.MarkDirty(p*mem.PageSize + uint32(rng.Intn(mem.PageSize)))
+				if _, dup := oracle[p]; tracking && p < pages && !dup {
+					oracle[p] = struct{}{}
+					order = append(order, p)
+				}
+			case op < 90:
+				r.StartDirtyTracking()
+				tracking = true
+				epoch++
+				clear(oracle)
+				order = order[:0]
+			default:
+				r.StopDirtyTracking() // the set stays readable
+				tracking = false
+			}
+			check(step)
+		}
+	}
+}

@@ -79,13 +79,22 @@ type Region struct {
 
 	// Dirty-page tracking (incremental checkpointing). While trackDirty is
 	// set, the first store to each page — and every operation that changes
-	// a page's backing-frame identity or sharing structure — logs the
-	// page-aligned offset into dirty. The mechanism is the pte track bit
-	// (see the pte type): it never raises a fault, never charges a cycle,
-	// and never counts in Faults, so tracking is invisible to virtual time
-	// exactly like the TLB and decode caches.
+	// a page's backing-frame identity or sharing structure — sets the
+	// page's bit in dirtyBits and appends its page index to dirtyLog. The
+	// log holds each page once, in first-mark order, so re-arming clears
+	// only the bits it names: O(dirty), not O(region). The mechanism is
+	// the pte track bit (see the pte type): it never raises a fault, never
+	// charges a cycle, and never counts in Faults, so tracking is
+	// invisible to virtual time exactly like the TLB and decode caches.
+	//
+	// trackEpoch counts StartDirtyTracking calls. A snapshot records the
+	// epoch it armed; a later delta against it trusts the log only while
+	// the region still reads that epoch — any other re-arm in between has
+	// thrown marks away.
 	trackDirty bool
-	dirty      map[uint32]struct{}
+	trackEpoch uint64
+	dirtyBits  []uint64
+	dirtyLog   []uint32
 }
 
 // NewRegion creates a region of size bytes (rounded up to pages).
@@ -100,6 +109,11 @@ func NewRegion(size uint32, demandZero bool) *Region {
 
 // Pages returns the number of pages in the region.
 func (r *Region) Pages() int { return len(r.frames) }
+
+// Frames returns the region's page table: one entry per page, nil where
+// the page is absent. It is the live table, not a copy — snapshot code
+// walks it in place; callers must not modify it.
+func (r *Region) Frames() []*mem.Frame { return r.frames }
 
 // FrameAt returns the frame backing the page containing offset off, or nil.
 func (r *Region) FrameAt(off uint32) *mem.Frame {
@@ -220,25 +234,29 @@ func (r *Region) PresentPages() int {
 }
 
 // StartDirtyTracking begins (or restarts) dirty-page tracking: the dirty
-// set is cleared and every installed translation of the region is armed
-// with the pte track bit, so the next store through it logs its page
-// before proceeding. Arming downgrades only TLB slots and sets a bit the
+// log is emptied (clearing only the bits it names), the tracking epoch
+// advances, and every installed translation of the region is armed with
+// the pte track bit, so the next store through it logs its page before
+// proceeding. Arming downgrades only TLB slots and sets a bit the
 // translation slow path resolves silently — no fault is raised, no cycle
 // charged, no Faults counted — so a tracked run is bit-identical in
 // virtual time to an untracked one (unlike write-protecting the pages,
 // which would be ambiguous with the lazy COW-upgrade soft faults the
 // zero-copy path charges for).
 //
-// Tracking state is per region, not per snapshot consumer: interleaving
-// two independent delta chains over one region resets each other's dirty
-// sets. The checkpoint layer documents this as one-chain-per-region.
+// Tracking state is per region, not per snapshot consumer: a second
+// consumer's re-arm discards the marks the first was relying on. The
+// epoch makes that detectable — see TrackEpoch.
 func (r *Region) StartDirtyTracking() {
 	r.trackDirty = true
-	if r.dirty == nil {
-		r.dirty = make(map[uint32]struct{})
-	} else {
-		clear(r.dirty)
+	r.trackEpoch++
+	if r.dirtyBits == nil {
+		r.dirtyBits = make([]uint64, (len(r.frames)+63)/64)
 	}
+	for _, p := range r.dirtyLog {
+		r.dirtyBits[p/64] &^= 1 << (p % 64)
+	}
+	r.dirtyLog = r.dirtyLog[:0]
 	for _, as := range r.watchers {
 		for _, m := range as.mappings {
 			if m.Region == r {
@@ -256,6 +274,12 @@ func (r *Region) StopDirtyTracking() { r.trackDirty = false }
 // DirtyTracking reports whether the region is tracking stores.
 func (r *Region) DirtyTracking() bool { return r.trackDirty }
 
+// TrackEpoch identifies the current tracking interval: it changes on
+// every StartDirtyTracking. A consumer that armed the tracker and later
+// reads a different epoch knows someone else re-armed it in between, and
+// that the log no longer covers everything since its own arming.
+func (r *Region) TrackEpoch() uint64 { return r.trackEpoch }
+
 // MarkDirty logs the page containing offset off as modified. The
 // translation slow path calls it on the first tracked store; operations
 // that change a page's frame identity or sharing structure outside the
@@ -265,18 +289,25 @@ func (r *Region) MarkDirty(off uint32) {
 	if !r.trackDirty || off >= r.Size {
 		return
 	}
-	r.dirty[mem.PageTrunc(off)] = struct{}{}
+	p := off >> mem.PageShift
+	if w, bit := &r.dirtyBits[p/64], uint64(1)<<(p%64); *w&bit == 0 {
+		*w |= bit
+		r.dirtyLog = append(r.dirtyLog, p)
+	}
 }
 
 // IsDirty reports whether the page containing off has been logged since
 // tracking (re)started.
 func (r *Region) IsDirty(off uint32) bool {
-	_, ok := r.dirty[mem.PageTrunc(off)]
-	return ok
+	if off >= r.Size || r.dirtyBits == nil {
+		return false
+	}
+	p := off >> mem.PageShift
+	return r.dirtyBits[p/64]&(1<<(p%64)) != 0
 }
 
 // DirtyCount returns the number of logged pages.
-func (r *Region) DirtyCount() int { return len(r.dirty) }
+func (r *Region) DirtyCount() int { return len(r.dirtyLog) }
 
 // Mapping imports [RegionOff, RegionOff+Size) of Region at [Base,
 // Base+Size) in a destination address space (Fluke's Mapping object state).

@@ -70,8 +70,8 @@ type hostMemWorld struct {
 const (
 	hmBase  = 0x0040_0000
 	hmRO    = 0x0080_0000
-	hmMMIO  = 0x00D0_0000
 	hmPages = 8
+	hmMMIO  = hmBase + hmPages*mem.PageSize // a device window, where mapped, abuts the region
 )
 
 type nullIO struct{}
@@ -197,6 +197,15 @@ func TestHostMemMatchesByteLoop(t *testing.T) {
 			{prep: mapDevice},
 			{write: true, va: hmBase + pg - 3, n: 2*pg + 9},
 			{va: hmBase, n: 4 * pg},
+			// Ranges that run into the window move their ordinary part and
+			// stop at its first byte; ranges inside it fail at once. Device
+			// registers take words from guests, never bytes from the loader.
+			{write: true, va: hmMMIO - 6, n: 16, fails: "core: WriteMem at 0x408000: fatal fault"},
+			{va: hmMMIO - 6, n: 16, fails: "core: ReadMem at 0x408000: fatal fault"},
+			{write: true, va: hmMMIO - pg - 1, n: 2 * pg, fails: "core: WriteMem at 0x408000: fatal fault"},
+			{write: true, va: hmMMIO + 8, n: 4, fails: "core: WriteMem at 0x408008: fatal fault"},
+			{va: hmMMIO + pg - 2, n: 4, fails: "core: ReadMem at 0x408ffe: fatal fault"},
+			{va: hmBase + 6*pg, n: 2 * pg},
 		},
 	}
 	for name, ops := range scenarios {

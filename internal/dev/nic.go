@@ -178,11 +178,16 @@ type nicQueue struct {
 	lastArm        uint32 // rxNext boundary of the previous drain (trace accounting)
 	armed          bool   // coalescing: deliveries may interrupt
 	irqOutstanding bool   // no-coalescing: an unacknowledged interrupt
-	raisePending   bool   // a deferred raise timer is in flight
+	raisePending   bool   // raiseTimer is in flight
 	raiseAt        uint64
-	kickPending    bool // a deferred delivery kick is in flight
+	kickPending    bool // kickTimer is in flight
 	kickAt         uint64
 	pending        []nicPending // frames waiting for a descriptor (or, coalescing off, the ack)
+
+	// The deferred raise and the deferred delivery kick, one reusable timer
+	// each on the queue's clock: raisePending/kickPending admit one of each
+	// in flight, so arming is a Rearm and nothing is allocated per event.
+	raiseTimer, kickTimer *clock.Timer
 
 	c NICCounters
 }
@@ -246,7 +251,10 @@ func NewNIC(alloc *mem.Allocator, coalesce bool, irqLatency uint64, queues []NIC
 		if qc.HeadShadowOff%4 != 0 || qc.HeadShadowOff+4 > qc.DMA.Size {
 			return nil, fmt.Errorf("dev: NIC queue %d head shadow %#x outside DMA region", i, qc.HeadShadowOff)
 		}
-		n.qs = append(n.qs, &nicQueue{cfg: qc, id: i})
+		q := &nicQueue{cfg: qc, id: i}
+		q.raiseTimer = qc.Clock.NewTimer(func(uint64) { n.raise(q) })
+		q.kickTimer = qc.Clock.NewTimer(func(uint64) { n.kick(q) })
+		n.qs = append(n.qs, q)
 	}
 	return n, nil
 }
@@ -330,7 +338,7 @@ func (io *nicQueueIO) IOWrite32(off uint32, v uint32) {
 		q.mu.Lock()
 		q.rxPosted = v
 		if len(q.pending) > 0 {
-			n.kickLocked(q)
+			n.kickLocked(q, NICKickLatency)
 		}
 		q.mu.Unlock()
 	case NICRegIntrArm:
@@ -353,7 +361,7 @@ func (io *nicQueueIO) IOWrite32(off uint32, v uint32) {
 				// Frames were delivered while masked; the NAPI arm-check
 				// closes the race by re-raising instead of stranding them.
 				q.armed = false
-				n.scheduleRaiseLocked(q)
+				n.scheduleRaiseLocked(q, n.irqLatency)
 			}
 		}
 		q.mu.Unlock()
@@ -362,7 +370,7 @@ func (io *nicQueueIO) IOWrite32(off uint32, v uint32) {
 		if !n.coalesce {
 			q.irqOutstanding = false
 			if len(q.pending) > 0 {
-				n.kickLocked(q)
+				n.kickLocked(q, NICKickLatency)
 			}
 		}
 		q.mu.Unlock()
@@ -426,22 +434,25 @@ func (n *NIC) Deliver(q int, tag uint32, payload []byte) {
 	qq.mu.Unlock()
 }
 
-// kickLocked schedules a delivery pass in timer context. Register writes
-// that unblock pending frames call this instead of delivering inline —
-// delivery allocates frames and raises interrupts, which the guest
-// execution path must not do.
-func (n *NIC) kickLocked(q *nicQueue) {
+// kickLocked schedules a delivery pass in timer context, delay cycles from
+// now. Register writes that unblock pending frames call this instead of
+// delivering inline — delivery allocates frames and raises interrupts,
+// which the guest execution path must not do.
+func (n *NIC) kickLocked(q *nicQueue, delay uint64) {
 	if q.kickPending {
 		return
 	}
 	q.kickPending = true
-	q.kickAt = q.cfg.Clock.Now() + NICKickLatency
-	q.cfg.Clock.After(NICKickLatency, func(uint64) {
-		q.mu.Lock()
-		q.kickPending = false
-		n.deliverLocked(q)
-		q.mu.Unlock()
-	})
+	q.kickAt = q.cfg.Clock.Now() + delay
+	q.cfg.Clock.Rearm(q.kickTimer, q.kickAt)
+}
+
+// kick is kickTimer's callback: the deferred delivery pass.
+func (n *NIC) kick(q *nicQueue) {
+	q.mu.Lock()
+	q.kickPending = false
+	n.deliverLocked(q)
+	q.mu.Unlock()
 }
 
 // deliverLocked moves pending frames into posted RX descriptors. The
@@ -497,36 +508,40 @@ func (n *NIC) deliverLocked(q *nicQueue) {
 		if n.coalesce {
 			if q.armed {
 				q.armed = false
-				n.scheduleRaiseLocked(q)
+				n.scheduleRaiseLocked(q, n.irqLatency)
 			} else {
 				q.c.Coalesced++
 			}
 		} else {
 			q.irqOutstanding = true
-			n.scheduleRaiseLocked(q)
+			n.scheduleRaiseLocked(q, n.irqLatency)
 		}
 	}
 }
 
-// scheduleRaiseLocked commits to raising the queue's line after
-// IRQLatency. At most one raise is in flight per queue; the raise
+// scheduleRaiseLocked commits to raising the queue's line delay cycles
+// from now (the IRQ latency; LoadState passes what was left of it). At
+// most one raise is in flight per queue; the raise
 // publishes the head shadow before touching the interrupt controller,
 // so the driver's post-wake read of the shadow is ordered behind every
 // delivery the raise announces.
-func (n *NIC) scheduleRaiseLocked(q *nicQueue) {
+func (n *NIC) scheduleRaiseLocked(q *nicQueue, delay uint64) {
 	if q.raisePending {
 		return
 	}
 	q.raisePending = true
-	q.raiseAt = q.cfg.Clock.Now() + n.irqLatency
-	q.cfg.Clock.After(n.irqLatency, func(uint64) {
-		q.mu.Lock()
-		q.raisePending = false
-		q.c.IRQs++
-		n.write32(q, q.cfg.HeadShadowOff, q.rxNext)
-		q.mu.Unlock()
-		q.cfg.Raise()
-	})
+	q.raiseAt = q.cfg.Clock.Now() + delay
+	q.cfg.Clock.Rearm(q.raiseTimer, q.raiseAt)
+}
+
+// raise is raiseTimer's callback: the deferred interrupt.
+func (n *NIC) raise(q *nicQueue) {
+	q.mu.Lock()
+	q.raisePending = false
+	q.c.IRQs++
+	n.write32(q, q.cfg.HeadShadowOff, q.rxNext)
+	q.mu.Unlock()
+	q.cfg.Raise()
 }
 
 // cowFrame returns the writable frame backing the DMA page at po,
@@ -732,28 +747,11 @@ func (n *NIC) LoadState(st *NICState) error {
 				tag: p.Tag, payload: append([]byte(nil), p.Payload...), stalled: p.Stalled,
 			})
 		}
-		now := q.cfg.Clock.Now()
 		if qs.RaiseDue > 0 {
-			q.raisePending = true
-			q.raiseAt = now + qs.RaiseDue
-			q.cfg.Clock.After(qs.RaiseDue, func(uint64) {
-				q.mu.Lock()
-				q.raisePending = false
-				q.c.IRQs++
-				n.write32(q, q.cfg.HeadShadowOff, q.rxNext)
-				q.mu.Unlock()
-				q.cfg.Raise()
-			})
+			n.scheduleRaiseLocked(q, qs.RaiseDue)
 		}
 		if qs.KickDue > 0 {
-			q.kickPending = true
-			q.kickAt = now + qs.KickDue
-			q.cfg.Clock.After(qs.KickDue, func(uint64) {
-				q.mu.Lock()
-				q.kickPending = false
-				n.deliverLocked(q)
-				q.mu.Unlock()
-			})
+			n.kickLocked(q, qs.KickDue)
 		}
 		q.mu.Unlock()
 	}

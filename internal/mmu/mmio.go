@@ -3,9 +3,21 @@ package mmu
 import (
 	"fmt"
 
-	"repro/internal/cpu"
 	"repro/internal/mem"
 )
+
+// Device register windows.
+//
+// The invariant everything here rests on: mappings and windows are
+// disjoint (MapIO refuses a window over a mapping, Map refuses a mapping
+// over a window), and a PTE or TLB entry is only ever derived from a
+// mapping, so a page that has a translation is never a device page. The
+// host fast paths therefore need no per-space opt-out: a TLB or PTE probe
+// hit alone proves the access is to ordinary memory, and only a TLB miss
+// in Load32/Store32 asks ioAt whether the word is a device register. A
+// driver space runs decoded and fused code, and copies through page
+// windows, like any other space; exactly its register pages stay on the
+// word path, each access reaching the IOHandler in program order.
 
 // IOHandler receives programmed-I/O accesses to a device register window.
 // Offsets are window-relative and word-aligned. Device registers are
@@ -31,10 +43,8 @@ func (as *AddrSpace) MapIO(base, size uint32, h IOHandler) error {
 	if h == nil {
 		return fmt.Errorf("mmu: nil IO handler")
 	}
-	for _, w := range as.io {
-		if base < w.base+w.size && w.base < base+size {
-			return fmt.Errorf("mmu: IO window overlaps [%#x,+%#x)", w.base, w.size)
-		}
+	if w := as.ioOverlapping(base, size); w != nil {
+		return fmt.Errorf("mmu: IO window overlaps [%#x,+%#x)", w.base, w.size)
 	}
 	for _, m := range as.mappings {
 		if base < m.Base+m.Size && m.Base < base+size {
@@ -42,6 +52,16 @@ func (as *AddrSpace) MapIO(base, size uint32, h IOHandler) error {
 		}
 	}
 	as.io = append(as.io, ioWindow{base: base, size: size, h: h})
+	return nil
+}
+
+// ioOverlapping returns a window overlapping [base, base+size), if any.
+func (as *AddrSpace) ioOverlapping(base, size uint32) *ioWindow {
+	for i := range as.io {
+		if w := &as.io[i]; base < w.base+w.size && w.base < base+size {
+			return w
+		}
+	}
 	return nil
 }
 
@@ -59,6 +79,9 @@ func (as *AddrSpace) ioAt(va uint32) *ioWindow {
 // IOWindows returns the number of installed device windows.
 func (as *AddrSpace) IOWindows() int { return len(as.io) }
 
+// HasMMIO reports whether any device-register windows are installed.
+func (as *AddrSpace) HasMMIO() bool { return len(as.io) > 0 }
+
 // MMIOAt reports whether va falls inside a device register window. The
 // zero-copy IPC path uses it to demote exactly the pages that really are
 // device registers (stores there must reach the IOHandler word by word)
@@ -66,31 +89,3 @@ func (as *AddrSpace) IOWindows() int { return len(as.io) }
 // window mapped — a driver space's DMA buffers are ordinary memory and
 // share fine.
 func (as *AddrSpace) MMIOAt(va uint32) bool { return as.ioAt(va) != nil }
-
-// ioLoad32 handles a load that may hit a device window; hit reports
-// whether it did.
-func (as *AddrSpace) ioLoad32(va uint32) (v uint32, hit bool, flt *cpu.Fault) {
-	w := as.ioAt(va)
-	if w == nil {
-		return 0, false, nil
-	}
-	if va%4 != 0 {
-		as.Faults++
-		return 0, true, &cpu.Fault{VA: va, Access: cpu.Read}
-	}
-	return w.h.IORead32(va - w.base), true, nil
-}
-
-// ioStore32 handles a store that may hit a device window.
-func (as *AddrSpace) ioStore32(va uint32, v uint32) (hit bool, flt *cpu.Fault) {
-	w := as.ioAt(va)
-	if w == nil {
-		return false, nil
-	}
-	if va%4 != 0 {
-		as.Faults++
-		return true, &cpu.Fault{VA: va, Access: cpu.Write}
-	}
-	w.h.IOWrite32(va-w.base, v)
-	return true, nil
-}

@@ -476,9 +476,11 @@ func (as *AddrSpace) TLBSize() int { return len(as.tlb) }
 // Allocator exposes the backing allocator (the pager uses it).
 func (as *AddrSpace) Allocator() *mem.Allocator { return as.alloc }
 
-// Map installs a mapping. Overlapping an existing mapping is an error.
-// Base, RegionOff and Size must be page-aligned and the mapped window must
-// lie within the region.
+// Map installs a mapping. Overlapping an existing mapping or a device
+// register window is an error: with MapIO's mirror-image check this keeps
+// mappings and windows disjoint, so a page that has a translation is never
+// a device page (see mmio.go). Base, RegionOff and Size must be
+// page-aligned and the mapped window must lie within the region.
 func (as *AddrSpace) Map(m *Mapping) error {
 	if m.Base%mem.PageSize != 0 || m.Size%mem.PageSize != 0 || m.RegionOff%mem.PageSize != 0 {
 		return fmt.Errorf("mmu: unaligned mapping base=%#x off=%#x size=%#x", m.Base, m.RegionOff, m.Size)
@@ -496,6 +498,9 @@ func (as *AddrSpace) Map(m *Mapping) error {
 		if m.Base < ex.Base+ex.Size && ex.Base < m.Base+m.Size {
 			return fmt.Errorf("mmu: mapping [%#x,+%#x) overlaps [%#x,+%#x)", m.Base, m.Size, ex.Base, ex.Size)
 		}
+	}
+	if w := as.ioOverlapping(m.Base, m.Size); w != nil {
+		return fmt.Errorf("mmu: mapping [%#x,+%#x) overlaps IO window [%#x,+%#x)", m.Base, m.Size, w.base, w.size)
 	}
 	as.mappings = append(as.mappings, m)
 	m.Region.addWatcher(as)
@@ -880,9 +885,6 @@ func (as *AddrSpace) HasPTE(va uint32) bool {
 	return ok
 }
 
-// HasMMIO reports whether any device-register windows are installed.
-func (as *AddrSpace) HasMMIO() bool { return len(as.io) > 0 }
-
 // translate returns the frame and in-page offset for va, or a fault. A
 // successful translation refills the TLB slot for the page (unless fast
 // paths are disabled), exactly as a hardware page-table walk would.
@@ -932,13 +934,10 @@ func (as *AddrSpace) probe(va uint32, acc cpu.Access) *mem.Frame {
 	return nil
 }
 
-// Load32 implements cpu.Memory.
+// Load32 implements cpu.Memory. A TLB hit proves the page is ordinary
+// memory (translations and device windows are disjoint — see mmio.go), so
+// only a miss asks whether va is a device register.
 func (as *AddrSpace) Load32(va uint32) (uint32, *cpu.Fault) {
-	if len(as.io) > 0 {
-		if v, hit, flt := as.ioLoad32(va); hit {
-			return v, flt
-		}
-	}
 	if va%4 != 0 {
 		as.Faults++
 		return 0, &cpu.Fault{VA: va, Access: cpu.Read}
@@ -948,6 +947,9 @@ func (as *AddrSpace) Load32(va uint32) (uint32, *cpu.Fault) {
 		d := e.frame.Data[va&mem.PageMask:]
 		return uint32(d[0]) | uint32(d[1])<<8 | uint32(d[2])<<16 | uint32(d[3])<<24, nil
 	}
+	if w := as.ioAt(va); w != nil {
+		return w.h.IORead32(va - w.base), nil
+	}
 	f, off, flt := as.translate(va, cpu.Read)
 	if flt != nil {
 		return 0, flt
@@ -956,13 +958,8 @@ func (as *AddrSpace) Load32(va uint32) (uint32, *cpu.Fault) {
 	return uint32(d[0]) | uint32(d[1])<<8 | uint32(d[2])<<16 | uint32(d[3])<<24, nil
 }
 
-// Store32 implements cpu.Memory.
+// Store32 implements cpu.Memory; device stores are found as in Load32.
 func (as *AddrSpace) Store32(va uint32, v uint32) *cpu.Fault {
-	if len(as.io) > 0 {
-		if hit, flt := as.ioStore32(va, v); hit {
-			return flt
-		}
-	}
 	if va%4 != 0 {
 		as.Faults++
 		return &cpu.Fault{VA: va, Access: cpu.Write}
@@ -972,6 +969,10 @@ func (as *AddrSpace) Store32(va uint32, v uint32) *cpu.Fault {
 		e.frame.Gen++
 		d := e.frame.Data[va&mem.PageMask:]
 		d[0], d[1], d[2], d[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+		return nil
+	}
+	if w := as.ioAt(va); w != nil {
+		w.h.IOWrite32(va-w.base, v)
 		return nil
 	}
 	f, off, flt := as.translate(va, cpu.Write)
@@ -1034,12 +1035,15 @@ func (as *AddrSpace) Fetch32(va uint32) (uint32, *cpu.Fault) {
 }
 
 // DecodedPageFor returns the decoded-instruction cache page for the page
-// containing pc, or nil when the fast path cannot be used (caches
-// disabled, MMIO windows present, or no executable translation installed
-// yet). It is a pure probe: it never counts Faults and never installs
-// translations, so it is invisible to diagnostics and virtual time.
+// containing pc, or nil when the fast path cannot be used (caches disabled,
+// or no executable translation installed yet — which covers device register
+// pages, since they never have one). A driver space's code decodes and
+// fuses like any other: its register accesses are loads and stores the
+// interpreter issues through Load32/Store32 in every tier. It is a pure
+// probe: it never counts Faults and never installs translations, so it is
+// invisible to diagnostics and virtual time.
 func (as *AddrSpace) DecodedPageFor(pc uint32) *cpu.DecodedPage {
-	if as.noFast || len(as.io) > 0 {
+	if as.noFast {
 		return nil
 	}
 	f := as.probe(pc, cpu.Exec)
@@ -1073,13 +1077,15 @@ func (as *AddrSpace) DecodedPageFor(pc uint32) *cpu.DecodedPage {
 
 // DirectWindow returns a byte slice aliasing guest memory at va, usable
 // for up to max bytes but never past the end of va's page, or nil when the
-// access must take the slow path (fast paths disabled, MMIO windows
-// present, no translation granting acc, or max == 0). A write window bumps
-// the frame's store generation so decoded-instruction caches stay
-// coherent. Callers must re-request the window after anything that can
-// change translations (faults, scheduling).
+// access must take the slow path (fast paths disabled, no translation
+// granting acc, or max == 0). A device register page never has a
+// translation, so it never yields a window and its words reach the
+// IOHandler one by one; every other page of a driver space does. A write
+// window bumps the frame's store generation so decoded-instruction caches
+// stay coherent. Callers must re-request the window after anything that
+// can change translations (faults, scheduling).
 func (as *AddrSpace) DirectWindow(va uint32, acc cpu.Access, max uint32) []byte {
-	if as.noFast || len(as.io) > 0 || max == 0 {
+	if as.noFast || max == 0 {
 		return nil
 	}
 	f := as.probe(va, acc)

@@ -37,6 +37,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/dev"
 	"repro/internal/mem"
@@ -160,12 +161,22 @@ type Queue struct {
 	IRQLine int
 	Home    int // the CPU everything about this queue is pinned to
 
-	// The remote end's response bodies, each BufPages long. free holds
-	// all-zero ones; wire holds those handed to NIC.Deliver, stamps
-	// written, until NIC.OnDelivered reports them back. Both are touched
+	// The remote end's replies. free holds idle ones, bodies all zero;
+	// wire holds those stamped and travelling (timer armed, or handed to
+	// NIC.Deliver) until NIC.OnDelivered reports them back. Both are touched
 	// only on the home CPU's goroutine (TX doorbell and timer context), and
 	// together never outnumber the requests in flight — one per worker.
-	free, wire [][]byte
+	free, wire []*wireFrame
+}
+
+// wireFrame is one reply of the simulated remote end, reused from request
+// to request: the wire-latency timer (its callback delivers this frame),
+// the descriptor tag to echo, and the body.
+type wireFrame struct {
+	timer *clock.Timer
+	tag   uint32
+	body  []byte // BufPages long; the reply is body[:n]
+	n     uint32
 }
 
 // Service is the attached NIC + user-mode network server.
@@ -330,44 +341,44 @@ func (sv *Service) respond(k *core.Kernel) func(qi int, tag uint32, frame []byte
 			respWords = max
 		}
 		q := sv.Queues[qi]
-		var body []byte
+		clk := k.CPUClock(q.Home)
+		var f *wireFrame
 		if n := len(q.free); n > 0 {
-			body, q.free = q.free[n-1], q.free[:n-1]
+			f, q.free = q.free[n-1], q.free[:n-1]
 		} else {
-			body = make([]byte, sv.Cfg.BufPages*mem.PageSize)
+			f = &wireFrame{body: make([]byte, sv.Cfg.BufPages*mem.PageSize)}
+			f.timer = clk.NewTimer(func(uint64) { sv.NIC.Deliver(qi, f.tag, f.body[:f.n]) })
 		}
-		body = body[:respWords*4]
-		for p := uint32(0); p*mem.PageSize < uint32(len(body)); p++ {
-			binary.LittleEndian.PutUint32(body[p*mem.PageSize:], ResponseStamp(conn, seq, p))
+		f.tag, f.n = tag, respWords*4
+		for p := uint32(0); p*mem.PageSize < f.n; p++ {
+			binary.LittleEndian.PutUint32(f.body[p*mem.PageSize:], ResponseStamp(conn, seq, p))
 		}
-		q.wire = append(q.wire, body)
-		k.CPUClock(q.Home).After(sv.Cfg.WireCycles, func(uint64) {
-			sv.NIC.Deliver(qi, tag, body)
-		})
+		q.wire = append(q.wire, f)
+		clk.Rearm(f.timer, clk.Now()+sv.Cfg.WireCycles)
 	}
 }
 
-// delivered is NIC.OnDelivered: the frame has landed, so its body goes
-// back on the queue's free list with the stamps wiped — the only non-zero
-// words respond ever writes. A payload that is not one of the queue's own
-// (a test or a restored checkpoint injecting frames of its own) is left
-// alone: the free list must hold nothing but all-zero buffers.
+// delivered is NIC.OnDelivered: the frame has landed, so it goes back on
+// the queue's free list with the stamps wiped — the only non-zero words
+// respond ever writes. A payload that is not one of the queue's own (a
+// test or a restored checkpoint injecting frames of its own) is left
+// alone: the free list must hold nothing but all-zero bodies.
 func (sv *Service) delivered(qi int, payload []byte) {
 	if len(payload) == 0 {
 		return // respond never sends an empty body
 	}
 	q := sv.Queues[qi]
-	for i, body := range q.wire {
-		if &body[0] != &payload[0] {
+	for i, f := range q.wire {
+		if &f.body[0] != &payload[0] {
 			continue
 		}
-		for p := 0; p < len(body); p += mem.PageSize {
-			binary.LittleEndian.PutUint32(body[p:], 0)
+		for p := uint32(0); p < f.n; p += mem.PageSize {
+			binary.LittleEndian.PutUint32(f.body[p:], 0)
 		}
 		last := len(q.wire) - 1
 		q.wire[i], q.wire[last] = q.wire[last], nil
 		q.wire = q.wire[:last]
-		q.free = append(q.free, body[:cap(body)])
+		q.free = append(q.free, f)
 		return
 	}
 }

@@ -624,6 +624,48 @@ func BenchmarkInterpreterSelfModifying(b *testing.B) {
 	})
 }
 
+// BenchmarkInterpreterArraySweep runs memtest's inner loop — load a byte,
+// step the cursor, branch back — over a 64 KiB demand-zero buffer through
+// a whole kernel, b.N bytes in all, so ns/op is per guest byte: the
+// user-mode half of memtest_faults, and the shape the interpreter's
+// counted-loop executor and its read window exist for.
+func BenchmarkInterpreterArraySweep(b *testing.B) {
+	const (
+		code = 0x0001_0000
+		buf  = 0x0004_0000
+		size = 0x10000
+	)
+	k := core.New(core.Config{Model: core.ModelInterrupt})
+	s := k.NewSpace()
+	data := &obj.Region{Header: obj.Header{Type: sys.ObjRegion}, R: mmu.NewRegion(size, true)}
+	k.BindFresh(s, data)
+	if _, err := k.MapInto(s, data, buf, 0, size, mmu.PermRW); err != nil {
+		b.Fatal(err)
+	}
+	pb := prog.New(code)
+	sweep := func(label string, n uint32) {
+		pb.Movi(6, buf).Movi(5, buf+n).
+			Label(label).Ldb(3, 6, 0).Addi(6, 6, 1).Blt(6, 5, label)
+	}
+	if full := uint32(b.N / size); full > 0 {
+		pb.Movi(2, 0).Label("full")
+		sweep("full.loop", size)
+		pb.Addi(2, 2, 1).Movi(0, full).Blt(2, 0, "full")
+	}
+	if rest := uint32(b.N % size); rest > 0 {
+		sweep("rest", rest)
+	}
+	th, err := k.SpawnProgram(s, code, pb.Halt().MustAssemble(), 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	k.Run()
+	if !th.Exited {
+		b.Fatal("sweep did not finish")
+	}
+}
+
 func benchInterpreter(b *testing.B, cfg core.Config) {
 	benchInterpreterLoop(b, cfg, nil)
 }

@@ -289,8 +289,8 @@ func main() {
 	}
 	es := k.ExecStats()
 	fmt.Printf("  cpu decode: pages %d, stale resets %d\n", es.PagesDecoded, es.StaleResets)
-	fmt.Printf("  cpu blocks: built %d, hits %d, bails %d, invalidations %d\n",
-		es.BlocksBuilt, es.BlockHits, es.BlockBails, es.BlockInvalidations)
+	fmt.Printf("  cpu blocks: built %d, hits %d (%d counted-loop passes), bails %d, invalidations %d\n",
+		es.BlocksBuilt, es.BlockHits, es.LoopPasses, es.BlockBails, es.BlockInvalidations)
 	if *cpus > 1 {
 		fmt.Printf("  cross-CPU: ipis %d, steals %d\n", s.IPIs, s.Steals)
 		for _, ls := range k.LockStats() {

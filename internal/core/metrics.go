@@ -138,6 +138,7 @@ type KernelMetrics struct {
 	DecodeStaleResets  *metrics.Gauge // cpu.decode.stale_resets
 	BlocksBuilt        *metrics.Gauge // cpu.blocks.built
 	BlockHits          *metrics.Gauge // cpu.blocks.hits
+	LoopPasses         *metrics.Gauge // cpu.blocks.loop_passes (of the hits)
 	BlockBails         *metrics.Gauge // cpu.blocks.bails
 	BlockInvalidations *metrics.Gauge // cpu.blocks.invalidations
 }
@@ -196,6 +197,7 @@ func NewKernelMetrics(reg *metrics.Registry) *KernelMetrics {
 	m.DecodeStaleResets = reg.Gauge("cpu.decode.stale_resets")
 	m.BlocksBuilt = reg.Gauge("cpu.blocks.built")
 	m.BlockHits = reg.Gauge("cpu.blocks.hits")
+	m.LoopPasses = reg.Gauge("cpu.blocks.loop_passes")
 	m.BlockBails = reg.Gauge("cpu.blocks.bails")
 	m.BlockInvalidations = reg.Gauge("cpu.blocks.invalidations")
 	return m
@@ -217,6 +219,7 @@ func (k *Kernel) SyncTraceMetrics() {
 	k.Metrics.DecodeStaleResets.Set(int64(es.StaleResets))
 	k.Metrics.BlocksBuilt.Set(int64(es.BlocksBuilt))
 	k.Metrics.BlockHits.Set(int64(es.BlockHits))
+	k.Metrics.LoopPasses.Set(int64(es.LoopPasses))
 	k.Metrics.BlockBails.Set(int64(es.BlockBails))
 	k.Metrics.BlockInvalidations.Set(int64(es.BlockInvalidations))
 }

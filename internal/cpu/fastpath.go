@@ -73,11 +73,16 @@ func (p *DecodedPage) Stale() bool { return *p.gen != p.snap }
 // probe — no faults counted, no translations installed — and may return
 // nil to force the Step slow path for that page. ExecStats returns the
 // source's decode/block counters; it must be non-nil and stable for the
-// duration of a StepN call.
+// duration of a StepN call. TLB returns the source's software TLB (at
+// least one slot; all-invalid is fine), which fused blocks consult before
+// calling Memory: every hit must read and write exactly what the Memory
+// method would, so a source must clear a slot whenever the translation it
+// caches goes away.
 type DecodedSource interface {
 	Memory
 	DecodedPageFor(pc uint32) *DecodedPage
 	ExecStats() *ExecStats
+	TLB() TLB
 }
 
 // syscallSpan is the byte size of the syscall entry page's active window.
@@ -94,6 +99,7 @@ const syscallSpan = MaxSyscalls * InstrSize
 func StepN(r *Regs, m DecodedSource, maxCycles uint64) (uint64, uint64, Trap) {
 	var cycles, retired uint64
 	var dp *DecodedPage
+	var tlb TLB // fetched on the first block entry: syscall-bound batches never need it
 	st := m.ExecStats()
 	pageVPN := ^uint32(0)
 	// pc shadows r.PC across the loop; every return path writes it back
@@ -151,8 +157,14 @@ func StepN(r *Regs, m DecodedSource, maxCycles uint64) (uint64, uint64, Trap) {
 			}
 			if b.maxCyc != 0 {
 				if cycles+b.maxCyc <= maxCycles {
-					cyc, ret, hits, next, out, trap := b.run(r, m, dp, maxCycles-cycles)
+					if tlb.Slots == nil {
+						tlb = m.TLB()
+					}
+					cyc, ret, hits, next, out, trap := b.run(r, m, &tlb, dp, maxCycles-cycles)
 					st.BlockHits += hits
+					if b.loop {
+						st.LoopPasses += hits
+					}
 					cycles += cyc
 					retired += ret
 					if out == blockTrap {

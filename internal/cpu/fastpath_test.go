@@ -9,30 +9,66 @@ import (
 )
 
 // fakeMem is a flat DecodedSource covering [0, size): a stand-in for the
-// MMU that mimics its contract — stores bump a per-page store generation,
-// DecodedPageFor revalidates against it, misaligned or out-of-range
-// accesses fault.
+// MMU that mimics its contract — stores bump the page frame's store
+// generation, DecodedPageFor revalidates against it, misaligned or
+// out-of-range accesses fault, and every successful access refills a small
+// software TLB whose hits the fused blocks then take inline.
 type fakeMem struct {
 	data     []byte
-	gens     []uint64
+	frames   []*mem.Frame // one per page; Data aliases data
 	pages    []*DecodedPage
-	noFast   bool
+	tlb      TLB
+	roTLB    bool // refill slots without write, as armed dirty tracking does
+	noFast   bool // no decoded pages and no TLB refills
 	noBlocks bool
 	exec     ExecStats
 }
 
+// fakeTLBSlots is small so pages evict each other's slots.
+const fakeTLBSlots = 4
+
 func newFakeMem(pages int) *fakeMem {
-	return &fakeMem{
-		data:  make([]byte, pages*mem.PageSize),
-		gens:  make([]uint64, pages),
-		pages: make([]*DecodedPage, pages),
+	m := &fakeMem{
+		data:   make([]byte, pages*mem.PageSize),
+		frames: make([]*mem.Frame, pages),
+		pages:  make([]*DecodedPage, pages),
+		tlb:    TLB{Slots: make([]TLBEntry, fakeTLBSlots), Mask: fakeTLBSlots - 1},
 	}
+	for p := range m.frames {
+		m.frames[p] = &mem.Frame{PFN: uint32(p), Data: m.data[p*mem.PageSize : (p+1)*mem.PageSize]}
+	}
+	return m
 }
 
 func (m *fakeMem) clone() *fakeMem {
-	c := newFakeMem(len(m.gens))
+	c := newFakeMem(len(m.frames))
 	copy(c.data, m.data)
+	c.roTLB = m.roTLB
 	return c
+}
+
+// resetGens zeroes the store generations after program loading so the
+// image itself does not look self-modified.
+func (m *fakeMem) resetGens() {
+	for _, f := range m.frames {
+		f.Gen = 0
+	}
+}
+
+// flushTLB empties every slot: the next access of each page misses.
+func (m *fakeMem) flushTLB() { clear(m.tlb.Slots) }
+
+// refill installs va's translation after a successful Memory access.
+func (m *fakeMem) refill(va uint32) {
+	if m.noFast {
+		return
+	}
+	perm := uint8(TLBRead | TLBWrite | TLBExec)
+	if m.roTLB {
+		perm &^= TLBWrite
+	}
+	vpn := va >> mem.PageShift
+	m.tlb.Slots[vpn&m.tlb.Mask] = TLBEntry{VPN: vpn, Perm: perm, Frame: m.frames[vpn]}
 }
 
 func (m *fakeMem) fault(va uint32, acc Access) *Fault { return &Fault{VA: va, Access: acc} }
@@ -41,6 +77,7 @@ func (m *fakeMem) Load32(va uint32) (uint32, *Fault) {
 	if va%4 != 0 || int(va)+4 > len(m.data) {
 		return 0, m.fault(va, Read)
 	}
+	m.refill(va)
 	d := m.data[va:]
 	return uint32(d[0]) | uint32(d[1])<<8 | uint32(d[2])<<16 | uint32(d[3])<<24, nil
 }
@@ -49,7 +86,8 @@ func (m *fakeMem) Store32(va uint32, v uint32) *Fault {
 	if va%4 != 0 || int(va)+4 > len(m.data) {
 		return m.fault(va, Write)
 	}
-	m.gens[va/mem.PageSize]++
+	m.refill(va)
+	m.frames[va/mem.PageSize].Gen++
 	d := m.data[va:]
 	d[0], d[1], d[2], d[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 	return nil
@@ -59,6 +97,7 @@ func (m *fakeMem) Load8(va uint32) (byte, *Fault) {
 	if int(va) >= len(m.data) {
 		return 0, m.fault(va, Read)
 	}
+	m.refill(va)
 	return m.data[va], nil
 }
 
@@ -66,7 +105,8 @@ func (m *fakeMem) Store8(va uint32, v byte) *Fault {
 	if int(va) >= len(m.data) {
 		return m.fault(va, Write)
 	}
-	m.gens[va/mem.PageSize]++
+	m.refill(va)
+	m.frames[va/mem.PageSize].Gen++
 	m.data[va] = v
 	return nil
 }
@@ -75,6 +115,7 @@ func (m *fakeMem) Fetch32(va uint32) (uint32, *Fault) {
 	if va%4 != 0 || int(va)+4 > len(m.data) {
 		return 0, m.fault(va, Exec)
 	}
+	m.refill(va)
 	d := m.data[va:]
 	return uint32(d[0]) | uint32(d[1])<<8 | uint32(d[2])<<16 | uint32(d[3])<<24, nil
 }
@@ -90,18 +131,20 @@ func (m *fakeMem) DecodedPageFor(pc uint32) *DecodedPage {
 	p := m.pages[vpn]
 	if p == nil {
 		p = new(DecodedPage)
-		p.Reset(&m.gens[vpn])
+		p.Reset(&m.frames[vpn].Gen)
 		m.exec.PagesDecoded++
 		m.pages[vpn] = p
 	} else if p.Stale() {
 		m.exec.BlockInvalidations += uint64(p.BuiltBlocks())
-		p.Reset(&m.gens[vpn])
+		p.Reset(&m.frames[vpn].Gen)
 		m.exec.PagesDecoded++
 		m.exec.StaleResets++
 	}
 	p.NoBlocks = m.noBlocks
 	return p
 }
+
+func (m *fakeMem) TLB() TLB { return m.tlb }
 
 func (m *fakeMem) ExecStats() *ExecStats { return &m.exec }
 
@@ -151,8 +194,8 @@ func genProgram(m *fakeMem, rng *rand.Rand) {
 				Rd: rng.Intn(NumRegs), Rs: 0, Rt: rng.Intn(NumRegs),
 				Imm: dataBase + uint32(rng.Intn(mem.PageSize/4))*4,
 			}
-		case p < 94: // self-modifying store into the code pages
-			in = Instr{Op: OpSt, Rs: 0, Rt: rng.Intn(NumRegs),
+		case p < 94: // self-modifying word or byte store into the code pages
+			in = Instr{Op: []Opcode{OpSt, OpStb}[rng.Intn(2)], Rs: 0, Rt: rng.Intn(NumRegs),
 				Imm: uint32(rng.Intn(codeWords)) * InstrSize}
 		case p < 96: // syscall entry
 			in = Instr{Op: OpJmp, Imm: SyscallEntry(rng.Intn(MaxSyscalls))}
@@ -165,9 +208,7 @@ func genProgram(m *fakeMem, rng *rand.Rand) {
 		m.Store32(pc, w0)
 		m.Store32(pc+4, imm)
 	}
-	for i := range m.gens {
-		m.gens[i] = 0
-	}
+	m.resetGens()
 }
 
 // TestStepNEquivalenceFuzz: StepN must be observably identical to the
@@ -177,11 +218,15 @@ func genProgram(m *fakeMem, rng *rand.Rand) {
 // instructions), so fused-block invalidation mid-block is fuzzed here,
 // not just unit-tested; between batches, random DMA-style writes mutate
 // code bytes directly and bump the store generation, the same signal
-// device DMA and frame recycling raise.
+// device DMA and frame recycling raise. Fused blocks read and write
+// through the fast side's TLB, which some batches start with empty and odd
+// seeds refill without write permission, so stores miss it as they do on
+// a dirty-tracked page.
 func TestStepNEquivalenceFuzz(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		proto := newFakeMem(3)
+		proto.roTLB = seed%2 == 1
 		genProgram(proto, rng)
 		var protoRegs Regs
 		for i := range protoRegs.R {
@@ -203,8 +248,11 @@ func TestStepNEquivalenceFuzz(t *testing.T) {
 					mFast.data[va+uint32(i)] = b
 					mRef.data[va+uint32(i)] = b
 				}
-				mFast.gens[va/mem.PageSize]++
-				mRef.gens[va/mem.PageSize]++
+				mFast.frames[va/mem.PageSize].Gen++
+				mRef.frames[va/mem.PageSize].Gen++
+			}
+			if rng.Intn(3) == 0 {
+				mFast.flushTLB()
 			}
 			budget := uint64(1 + rng.Intn(4000))
 			fc, fr, ft := StepN(&rFast, mFast, budget)

@@ -40,6 +40,7 @@ type ExecStats struct {
 	BlockHits          uint64 // fused block executions
 	BlockBails         uint64 // block runs cut short or skipped (budget, stale store)
 	BlockInvalidations uint64 // built blocks dropped by a page reset
+	LoopPasses         uint64 // BlockHits that ran a counted loop (runLoop)
 }
 
 // Add accumulates other into s (for kernel-wide aggregation).
@@ -50,6 +51,7 @@ func (s *ExecStats) Add(o *ExecStats) {
 	s.BlockHits += o.BlockHits
 	s.BlockBails += o.BlockBails
 	s.BlockInvalidations += o.BlockInvalidations
+	s.LoopPasses += o.LoopPasses
 }
 
 // block is one fused straight-line run. body holds the non-control
@@ -70,15 +72,19 @@ type block struct {
 	endPC  uint32 // PC after the body: the terminator's PC, or the resume PC
 	maxCyc uint64
 
-	// Accumulator-loop superinstruction (see specializeAcc): when accOp
-	// != 0 the whole block is `acc = acc OP src; branch back while COND`
-	// and runAcc executes it with the live values in scalars, free of
-	// the register-array store/load dependency chain that limits the
-	// generic walk.
+	// Self-loop shapes, at most one per block. Accumulator superinstruction
+	// (see specializeAcc): when accOp != 0 the whole block is
+	// `acc = acc OP src; branch back while COND` and runAcc executes it
+	// with the live values in scalars, free of the register-array
+	// store/load dependency chain that limits the generic walk. Counted
+	// loop (see specializeLoop): when loop is set the body ends in the
+	// induction step of the register the terminator compares, and runLoop
+	// folds step and branch into the pass.
 	accOp     Opcode // normalized body op (OpAddi folds into OpAdd)
 	accSrcImm bool   // src is d.imm rather than a register
-	accEq     bool   // terminator compares ==/!= (else </>=)
-	accWant   bool   // loop continues while compare == accWant
+	loop      bool
+	cmpEq     bool // terminator compares ==/!= (else </>=)
+	cmpWant   bool // loop continues while compare == cmpWant
 }
 
 // noBlock marks entries where fusion is pointless (a control transfer,
@@ -207,6 +213,7 @@ func (p *DecodedPage) buildBlock(m DecodedSource, st *ExecStats, pc uint32, slot
 		termN = 1
 	}
 	b.specializeAcc()
+	b.specializeLoop()
 	if b.accOp == 0 && len(b.body)+termN < minBlockLen {
 		// Too short to amortize the block executor's entry/exit cost:
 		// on branch-dense code a 2-instruction fused run is slower than
@@ -259,8 +266,7 @@ func (b *block) specializeAcc() {
 		return // not acc-shaped, or the limit is not loop-invariant
 	}
 	b.accOp = op
-	b.accEq = b.termOp == OpBeq || b.termOp == OpBne
-	b.accWant = b.termOp == OpBeq || b.termOp == OpBlt
+	b.setCmp()
 }
 
 // runAcc executes an accumulator self-loop (see specializeAcc) entirely
@@ -278,7 +284,7 @@ func (b *block) runAcc(r *Regs, budget uint64) (uint64, uint64, uint64, uint32, 
 	}
 	lim := r.R[b.term.rt&7]
 	op := b.accOp
-	eq, want := b.accEq, b.accWant
+	eq, want := b.cmpEq, b.cmpWant
 	base := uint64(b.pfx[1]) + CycInstr // body + untaken branch
 	maxCyc := b.maxCyc
 	var cycles, retired, hits uint64
@@ -337,15 +343,19 @@ const (
 // b.maxCyc once. It returns the exact cycles consumed, the instructions
 // retired, the number of block passes (for cpu.blocks.hits), the next PC
 // (blockOK and blockStale), the outcome, and the trap (blockTrap only).
+// Loads and stores try tlb inline and call m only on a miss.
 //
 // Fault and bail sequencing is cycle- and word-exact versus single-step:
 // a faulting memory op charges only CycInstr on top of the retired
 // prefix, leaves registers untouched, and r.PC addresses it precisely; a
 // store that bumps this page's generation commits fully (it retired) and
 // ends the block at the next instruction boundary.
-func (b *block) run(r *Regs, m DecodedSource, dp *DecodedPage, budget uint64) (uint64, uint64, uint64, uint32, int, Trap) {
+func (b *block) run(r *Regs, m DecodedSource, tlb *TLB, dp *DecodedPage, budget uint64) (uint64, uint64, uint64, uint32, int, Trap) {
 	if b.accOp != 0 {
 		return b.runAcc(r, budget)
+	}
+	if b.loop {
+		return b.runLoop(r, m, tlb, dp, budget)
 	}
 	// The register file lives in a local array for the duration of the
 	// block: the compiler then knows the interface calls (Load32 etc.)
@@ -391,40 +401,42 @@ func (b *block) run(r *Regs, m DecodedSource, dp *DecodedPage, budget uint64) (u
 			case OpAddi:
 				R[d.rd&7] = R[d.rs&7] + d.imm
 			case OpLd:
-				v, f := m.Load32(R[d.rs&7] + d.imm)
-				if f != nil {
-					r.R = R
-					r.PC = b.entry + uint32(i)*InstrSize
-					return cycles + uint64(b.pfx[i]) + CycInstr, retired + uint64(i), hits, 0, blockTrap, Trap{Kind: TrapFault, Fault: *f}
+				va := R[d.rs&7] + d.imm
+				v, ok := tlb.Load32(va)
+				if !ok {
+					var f *Fault
+					if v, f = m.Load32(va); f != nil {
+						return b.fault(r, R, i, cycles, retired, hits, f)
+					}
 				}
 				R[d.rd&7] = v
 			case OpSt:
-				if f := m.Store32(R[d.rs&7]+d.imm, R[d.rt&7]); f != nil {
-					r.R = R
-					r.PC = b.entry + uint32(i)*InstrSize
-					return cycles + uint64(b.pfx[i]) + CycInstr, retired + uint64(i), hits, 0, blockTrap, Trap{Kind: TrapFault, Fault: *f}
+				if va := R[d.rs&7] + d.imm; !tlb.Store32(va, R[d.rt&7]) {
+					if f := m.Store32(va, R[d.rt&7]); f != nil {
+						return b.fault(r, R, i, cycles, retired, hits, f)
+					}
 				}
 				if dp.Stale() {
-					r.R = R
-					return cycles + uint64(b.pfx[i+1]), retired + uint64(i+1), hits, b.entry + uint32(i+1)*InstrSize, blockStale, Trap{}
+					return b.stale(r, R, i, cycles, retired, hits)
 				}
 			case OpLdb:
-				v, f := m.Load8(R[d.rs&7] + d.imm)
-				if f != nil {
-					r.R = R
-					r.PC = b.entry + uint32(i)*InstrSize
-					return cycles + uint64(b.pfx[i]) + CycInstr, retired + uint64(i), hits, 0, blockTrap, Trap{Kind: TrapFault, Fault: *f}
+				va := R[d.rs&7] + d.imm
+				v, ok := tlb.Load8(va)
+				if !ok {
+					var f *Fault
+					if v, f = m.Load8(va); f != nil {
+						return b.fault(r, R, i, cycles, retired, hits, f)
+					}
 				}
 				R[d.rd&7] = uint32(v)
 			case OpStb:
-				if f := m.Store8(R[d.rs&7]+d.imm, byte(R[d.rt&7])); f != nil {
-					r.R = R
-					r.PC = b.entry + uint32(i)*InstrSize
-					return cycles + uint64(b.pfx[i]) + CycInstr, retired + uint64(i), hits, 0, blockTrap, Trap{Kind: TrapFault, Fault: *f}
+				if va := R[d.rs&7] + d.imm; !tlb.Store8(va, byte(R[d.rt&7])) {
+					if f := m.Store8(va, byte(R[d.rt&7])); f != nil {
+						return b.fault(r, R, i, cycles, retired, hits, f)
+					}
 				}
 				if dp.Stale() {
-					r.R = R
-					return cycles + uint64(b.pfx[i+1]), retired + uint64(i+1), hits, b.entry + uint32(i+1)*InstrSize, blockStale, Trap{}
+					return b.stale(r, R, i, cycles, retired, hits)
 				}
 			}
 		}
@@ -478,4 +490,21 @@ func (b *block) run(r *Regs, m DecodedSource, dp *DecodedPage, budget uint64) (u
 			return cycles, retired, hits, next, blockOK, Trap{}
 		}
 	}
+}
+
+// fault ends a block run at body index i, whose memory access raised f:
+// registers R as of the retired prefix, r.PC at the faulting instruction,
+// and CycInstr charged for it on top of the prefix.
+func (b *block) fault(r *Regs, R [NumRegs]uint32, i int, cycles, retired, hits uint64, f *Fault) (uint64, uint64, uint64, uint32, int, Trap) {
+	r.R = R
+	r.PC = b.entry + uint32(i)*InstrSize
+	return cycles + uint64(b.pfx[i]) + CycInstr, retired + uint64(i), hits, 0, blockTrap, Trap{Kind: TrapFault, Fault: *f}
+}
+
+// stale ends a block run after body index i, a store that dirtied the
+// block's own page: the store retired, and execution resumes single-step at
+// the next instruction once the page is re-validated.
+func (b *block) stale(r *Regs, R [NumRegs]uint32, i int, cycles, retired, hits uint64) (uint64, uint64, uint64, uint32, int, Trap) {
+	r.R = R
+	return cycles + uint64(b.pfx[i+1]), retired + uint64(i+1), hits, b.entry + uint32(i+1)*InstrSize, blockStale, Trap{}
 }

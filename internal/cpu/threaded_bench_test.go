@@ -11,7 +11,7 @@ func benchLoop(n uint32, noBlocks bool) (*fakeMem, Regs) {
 	emitAt(m, 16, Instr{Op: OpAddi, Rd: 6, Rs: 6, Imm: 1})
 	emitAt(m, 24, Instr{Op: OpBlt, Rs: 6, Rt: 5, Imm: 16})
 	emitAt(m, 32, Instr{Op: OpHalt})
-	resetGens(m)
+	m.resetGens()
 	return m, Regs{}
 }
 

@@ -12,14 +12,6 @@ func emitAt(m *fakeMem, pc uint32, in Instr) {
 	m.Store32(pc+4, imm)
 }
 
-// resetGens zeroes the store generations after program loading so the
-// image itself does not look self-modified.
-func resetGens(m *fakeMem) {
-	for i := range m.gens {
-		m.gens[i] = 0
-	}
-}
-
 // TestAccLoopEquivalence drives every accumulator-superinstruction shape
 // (ALU op × conditional branch) through StepN and the reference loop
 // with randomized budgets, and checks the specialized executor actually
@@ -41,7 +33,7 @@ func TestAccLoopEquivalence(t *testing.T) {
 				emitAt(m, 16, in)
 				emitAt(m, 24, Instr{Op: br, Rs: 1, Rt: 3, Imm: 16})
 				emitAt(m, 32, Instr{Op: OpHalt})
-				resetGens(m)
+				m.resetGens()
 
 				ref := m.clone()
 				var rF, rR Regs
@@ -74,7 +66,7 @@ func TestAccLoopSpecialized(t *testing.T) {
 	emitAt(m, 16, Instr{Op: OpAddi, Rd: 6, Rs: 6, Imm: 1})
 	emitAt(m, 24, Instr{Op: OpBlt, Rs: 6, Rt: 5, Imm: 16})
 	emitAt(m, 32, Instr{Op: OpHalt})
-	resetGens(m)
+	m.resetGens()
 
 	var r Regs
 	_, retired, trap := StepN(&r, m, 1<<40)
@@ -110,7 +102,7 @@ func TestBlockBudgetTail(t *testing.T) {
 		emitAt(m, pc, Instr{Op: OpLd, Rd: 2, Rs: 0, Imm: 0x1000})
 		pc += InstrSize
 		emitAt(m, pc, Instr{Op: OpHalt})
-		resetGens(m)
+		m.resetGens()
 		return m
 	}
 	for budget := uint64(1); budget <= 40; budget++ {
@@ -138,7 +130,7 @@ func TestBlockDMAInvalidation(t *testing.T) {
 	emitAt(m, 8, Instr{Op: OpMovi, Rd: 2, Imm: 1})
 	emitAt(m, 16, Instr{Op: OpMovi, Rd: 3, Imm: 2})
 	emitAt(m, 24, Instr{Op: OpHalt})
-	resetGens(m)
+	m.resetGens()
 
 	var r Regs
 	if _, _, trap := StepN(&r, m, 1<<20); trap.Kind != TrapHalt {
@@ -153,7 +145,7 @@ func TestBlockDMAInvalidation(t *testing.T) {
 	w0, imm := Instr{Op: OpMovi, Rd: 1, Imm: 9}.Encode()
 	m.data[0], m.data[1], m.data[2], m.data[3] = byte(w0), byte(w0>>8), byte(w0>>16), byte(w0>>24)
 	m.data[4], m.data[5], m.data[6], m.data[7] = byte(imm), byte(imm>>8), byte(imm>>16), byte(imm>>24)
-	m.gens[0]++
+	m.frames[0].Gen++
 
 	r = Regs{}
 	if _, _, trap := StepN(&r, m, 1<<20); trap.Kind != TrapHalt {
@@ -178,7 +170,7 @@ func TestStepNDisabledPathNoAllocs(t *testing.T) {
 	emitAt(m, 16, Instr{Op: OpAddi, Rd: 6, Rs: 6, Imm: 1})
 	emitAt(m, 24, Instr{Op: OpBlt, Rs: 6, Rt: 5, Imm: 16})
 	emitAt(m, 32, Instr{Op: OpJmp, Imm: 0})
-	resetGens(m)
+	m.resetGens()
 	// Warm the decode cache outside the measured region.
 	var r Regs
 	StepN(&r, m, 1000)

@@ -6,14 +6,17 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/mmu"
+	"repro/internal/obj"
 	"repro/internal/prog"
 	"repro/internal/stats"
+	"repro/internal/sys"
 )
 
 // The interpreter-tier experiment compares the three execution tiers of
 // the simulated CPU — the per-instruction slow path, the decode-cache
 // fast path, and the threaded-code tier (fused superinstruction blocks)
-// — on three guest shapes chosen to stress each tier differently:
+// — on five guest shapes chosen to stress each tier differently:
 //
 //   - straight-line: long runs of ALU instructions, the best case for
 //     fused blocks (one dispatch amortized over ~30 instructions);
@@ -22,7 +25,11 @@ import (
 //     still engages the tier;
 //   - self-modifying: a store into the executing code page every
 //     iteration, invalidating the page's decode slots and fused blocks
-//     each time around the loop (the DMA/self-modifying signal).
+//     each time around the loop (the DMA/self-modifying signal);
+//   - byte-sweep and word-sweep: memtest's and gcc's inner loops (a load
+//     per element, then the induction step and its branch) over a
+//     multi-page demand-zero buffer, the array-sweep shape the threaded
+//     tier runs as a counted loop with a one-page read window.
 //
 // The tiers are simulator-side: all three must retire the same guest
 // work in exactly the same number of virtual cycles. Only host time may
@@ -40,8 +47,12 @@ type InterpTierResult struct {
 	Exec     cpu.ExecStats    // threaded tier's decode/block counters
 }
 
-// interpProgram builds one of the three guest shapes running iters loop
-// iterations at scCode.
+// interpShapes are the guest shapes, in table order.
+var interpShapes = []string{"straight-line", "branch-heavy", "self-modifying", "byte-sweep", "word-sweep"}
+
+// interpProgram builds one of the guest shapes running iters loop
+// iterations at scCode; the sweeps walk the scDataSz buffer at scData as
+// many whole times as iters elements fill, at least once.
 func interpProgram(kind string, iters int) *prog.Builder {
 	b := prog.New(scCode)
 	switch kind {
@@ -79,13 +90,31 @@ func interpProgram(kind string, iters int) *prog.Builder {
 			St(0, scCode+0xF00, 6).
 			Blt(6, 5, "loop").
 			Halt()
+	case "byte-sweep", "word-sweep":
+		elem := uint32(1)
+		if kind == "word-sweep" {
+			elem = 4
+		}
+		sweeps := max(1, iters*int(elem)/scDataSz)
+		b.Movi(2, 0).
+			Label("sweep").
+			Movi(6, scData).Movi(5, scData+scDataSz).Movi(3, 0).
+			Label("loop")
+		if elem == 1 {
+			b.Ldb(3, 6, 0) // memtest
+		} else {
+			b.Ld(1, 6, 0).Mul(3, 3, 1).Add(3, 3, 1) // gcc
+		}
+		b.Addi(6, 6, elem).Blt(6, 5, "loop").
+			Addi(2, 2, 1).Movi(0, uint32(sweeps)).Blt(2, 0, "sweep").
+			Halt()
 	default:
 		panic("unknown interp workload " + kind)
 	}
 	return b
 }
 
-// InterpreterTiers runs the three guest shapes under all three tiers and
+// InterpreterTiers runs every guest shape under all three tiers and
 // returns one row per shape. It fails if any tier observes a different
 // virtual-cycle count than the slow path — the tiers' core invariant.
 func InterpreterTiers(iters int) ([]InterpTierResult, error) {
@@ -95,12 +124,17 @@ func InterpreterTiers(iters int) ([]InterpTierResult, error) {
 		{Model: core.ModelProcess},
 	}
 	var rows []InterpTierResult
-	for _, kind := range []string{"straight-line", "branch-heavy", "self-modifying"} {
+	for _, kind := range interpShapes {
 		img := interpProgram(kind, iters).MustAssemble()
 		row := InterpTierResult{Workload: kind}
 		for ti, cfg := range tiers {
 			k := core.New(cfg)
 			s := k.NewSpace()
+			buf := &obj.Region{Header: obj.Header{Type: sys.ObjRegion}, R: mmu.NewRegion(scDataSz, true)}
+			k.BindFresh(s, buf)
+			if _, err := k.MapInto(s, buf, scData, 0, scDataSz, mmu.PermRW); err != nil {
+				return nil, err
+			}
 			th, err := k.SpawnProgram(s, scCode, img, 8)
 			if err != nil {
 				return nil, err
@@ -131,10 +165,10 @@ func InterpreterTiers(iters int) ([]InterpTierResult, error) {
 
 // InterpreterTiersRender formats the tier comparison: identical virtual
 // cycles, host time per tier, the threaded/decode-cache speedup, and the
-// threaded tier's block activity.
+// threaded tier's block activity (hits, of which counted-loop passes).
 func InterpreterTiersRender(rows []InterpTierResult) *stats.Table {
 	t := stats.NewTable("Interpreter tiers: host time for identical virtual work (process model)",
-		"workload", "virt cycles", "slow", "decode-cache", "threaded", "thr/dec speedup", "block hits", "invalidations")
+		"workload", "virt cycles", "slow", "decode-cache", "threaded", "thr/dec speedup", "block hits", "loop passes", "invalidations")
 	for _, r := range rows {
 		speed := float64(r.Host[1]) / float64(r.Host[2])
 		t.Row(r.Workload, r.Cycles,
@@ -142,7 +176,7 @@ func InterpreterTiersRender(rows []InterpTierResult) *stats.Table {
 			fmt.Sprintf("%.1fms", float64(r.Host[1].Microseconds())/1000),
 			fmt.Sprintf("%.1fms", float64(r.Host[2].Microseconds())/1000),
 			fmt.Sprintf("%.2fx", speed),
-			r.Exec.BlockHits, r.Exec.BlockInvalidations)
+			r.Exec.BlockHits, r.Exec.LoopPasses, r.Exec.BlockInvalidations)
 	}
 	return t
 }

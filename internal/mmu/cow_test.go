@@ -204,13 +204,13 @@ func TestTinyTLBEvictionAndInvalidation(t *testing.T) {
 	}
 	checkSubset := func() {
 		t.Helper()
-		for _, e := range as.tlb {
-			if e.perm == 0 {
+		for _, e := range as.tlb.Slots {
+			if e.Perm == 0 {
 				continue
 			}
-			pe, ok := as.pt[e.vpn]
-			if !ok || pe.frame != e.frame || e.perm&^pe.perm != 0 {
-				t.Fatalf("TLB entry vpn=%#x not backed by the page table", e.vpn)
+			pe, ok := as.pt[e.VPN]
+			if !ok || pe.frame != e.Frame || Perm(e.Perm)&^pe.perm != 0 {
+				t.Fatalf("TLB entry vpn=%#x not backed by the page table", e.VPN)
 			}
 		}
 	}

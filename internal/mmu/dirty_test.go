@@ -2,10 +2,12 @@ package mmu
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cpu"
 	"repro/internal/mem"
+	"repro/internal/prog"
 )
 
 // Dirty-page tracking (incremental checkpointing): the track-bit
@@ -149,7 +151,10 @@ func TestDirtyTrackingMarksIdentityChanges(t *testing.T) {
 
 // TestDirtyTrackingInvisible runs the same access sequence against a
 // tracked and an untracked space and requires identical observable
-// behavior: same values, same fault sequence, same Faults count.
+// behavior: same values, same fault sequence, same Faults count. The
+// second half does it for a guest loop the interpreter folds (cpu's
+// counted-loop executor), whose stores try the TLB inline: a store that
+// hit a slot the arming write-protected would bypass the log.
 func TestDirtyTrackingInvisible(t *testing.T) {
 	run := func(track bool) (vals []uint32, faults uint64) {
 		as := newAS(t)
@@ -199,6 +204,69 @@ func TestDirtyTrackingInvisible(t *testing.T) {
 		if v1[i] != v2[i] {
 			t.Fatalf("observation %d diverged: %#x vs %#x", i, v1[i], v2[i])
 		}
+	}
+
+	const (
+		pages = 8
+		data  = 0x10000
+		code  = 0x80000
+	)
+	b := prog.New(code)
+	b.Movi(6, data).Movi(5, data+pages*mem.PageSize).
+		Label("sweep").Ldb(3, 6, 0).Addi(3, 3, 1).Stb(6, 8, 3).
+		Addi(6, 6, 16).Blt(6, 5, "sweep").
+		Halt()
+	img := b.MustAssemble()
+	type loopRun struct {
+		regs   cpu.Regs
+		cycles uint64
+		faults uint64
+		mem    []byte
+	}
+	loop := func(track bool) (loopRun, cpu.ExecStats) {
+		as := newAS(t)
+		r, _ := mapZero(t, as, data, pages*mem.PageSize, PermRW)
+		mapZero(t, as, code, mem.PageSize, PermRWX)
+		for i := 0; i < len(img); i += 4 {
+			touchStore32(t, as, code+uint32(i), uint32(img[i])|uint32(img[i+1])<<8|uint32(img[i+2])<<16|uint32(img[i+3])<<24)
+		}
+		for p := uint32(0); p < pages; p++ { // writable TLB slots before arming
+			touchStore32(t, as, data+p*mem.PageSize+4, p)
+		}
+		var o loopRun
+		for phase := 0; phase < 2; phase++ {
+			if track {
+				r.StartDirtyTracking()
+			}
+			o.regs = cpu.Regs{PC: code}
+			for {
+				c, _, tr := cpu.StepN(&o.regs, as, 1000)
+				o.cycles += c
+				if tr.Kind == cpu.TrapHalt {
+					break
+				}
+				if tr.Kind != cpu.TrapNone {
+					t.Fatalf("track=%v: trap %+v", track, tr)
+				}
+			}
+			if track && (r.DirtyCount() != pages || !r.IsDirty(0) || !r.IsDirty((pages-1)*mem.PageSize)) {
+				t.Fatalf("phase %d: %d pages logged, want each of %d once", phase, r.DirtyCount(), pages)
+			}
+		}
+		for _, f := range r.Frames() {
+			o.mem = append(o.mem, f.Data...)
+		}
+		o.faults = as.Faults
+		return o, *as.ExecStats()
+	}
+	plain, _ := loop(false)
+	tracked, es := loop(true)
+	if es.LoopPasses == 0 {
+		t.Fatalf("the sweep never ran as a folded loop: %+v", es)
+	}
+	if !reflect.DeepEqual(plain, tracked) {
+		t.Fatalf("folded loop observable state diverged with tracking on: regs %+v vs %+v, cycles %d vs %d, Faults %d vs %d",
+			plain.regs, tracked.regs, plain.cycles, tracked.cycles, plain.faults, tracked.faults)
 	}
 }
 

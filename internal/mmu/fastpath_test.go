@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/mem"
+	"repro/internal/prog"
 )
 
 // TestEvictFlushesDerivedTranslations is the stale-translation regression
@@ -219,13 +220,13 @@ func TestTLBSubsetOfPT(t *testing.T) {
 	mapZero(t, as, 0x10000, 64*mem.PageSize, PermRW)
 	check := func(when string) {
 		t.Helper()
-		for _, e := range as.tlb {
-			if e.perm == 0 {
+		for _, e := range as.tlb.Slots {
+			if e.Perm == 0 {
 				continue
 			}
-			pe, ok := as.pt[e.vpn]
-			if !ok || pe.frame != e.frame || pe.perm != e.perm {
-				t.Fatalf("%s: TLB slot vpn=%#x not backed by pt", when, e.vpn)
+			pe, ok := as.pt[e.VPN]
+			if !ok || pe.frame != e.Frame || pe.perm != Perm(e.Perm) {
+				t.Fatalf("%s: TLB slot vpn=%#x not backed by pt", when, e.VPN)
 			}
 		}
 	}
@@ -255,7 +256,7 @@ func TestPresentMatchesPageTable(t *testing.T) {
 		check := func(when string) {
 			t.Helper()
 			faults := as.Faults
-			tlb := append([]tlbEntry(nil), as.tlb...)
+			tlb := append([]cpu.TLBEntry(nil), as.tlb.Slots...)
 			for p := uint32(0); p < pages+1; p++ { // one page past the mapping too
 				va := base + p*mem.PageSize + 8
 				for _, acc := range []cpu.Access{cpu.Read, cpu.Write, cpu.Exec} {
@@ -270,7 +271,7 @@ func TestPresentMatchesPageTable(t *testing.T) {
 				t.Fatalf("fast=%v %s: Present counted faults", fast, when)
 			}
 			for i := range tlb {
-				if tlb[i] != as.tlb[i] {
+				if tlb[i] != as.tlb.Slots[i] {
 					t.Fatalf("fast=%v %s: Present changed TLB slot %d", fast, when, i)
 				}
 			}
@@ -298,5 +299,67 @@ func TestPresentMatchesPageTable(t *testing.T) {
 		check("read-only refill")
 		as.Unmap(m)
 		check("after Unmap")
+	}
+}
+
+// TestLoopReadsRespectProtection: a folded loop sweeps from a readable
+// page into a write-only one whose translation a store has already cached
+// in the TLB. Its first load there must fault, on the same pass as the
+// Step loop's, rather than read through that slot or a window derived
+// from it.
+func TestLoopReadsRespectProtection(t *testing.T) {
+	const (
+		code = 0x1_0000
+		rw   = 0x4_0000
+		wo   = rw + mem.PageSize
+	)
+	for _, op := range []cpu.Opcode{cpu.OpLdb, cpu.OpLd} {
+		b := prog.New(code)
+		b.Movi(6, wo-64).Movi(5, wo+64).
+			Label("loop").Stb(6, 0, 6).Addi(1, 1, 1)
+		if op == cpu.OpLd {
+			b.Ld(3, 6, 0).Addi(6, 6, 4)
+		} else {
+			b.Ldb(3, 6, 0).Addi(6, 6, 1)
+		}
+		b.Blt(6, 5, "loop").Halt()
+		img := b.MustAssemble()
+		run := func(tier string) (cpu.Regs, uint64, cpu.Trap, cpu.ExecStats) {
+			as := newAS(t)
+			mapZero(t, as, code, mem.PageSize, PermRWX)
+			mapZero(t, as, rw, mem.PageSize, PermRW)
+			mapZero(t, as, wo, mem.PageSize, PermWrite)
+			for i := 0; i < len(img); i += 4 {
+				touchStore32(t, as, code+uint32(i), uint32(img[i])|uint32(img[i+1])<<8|uint32(img[i+2])<<16|uint32(img[i+3])<<24)
+			}
+			touchStore32(t, as, rw, 0)
+			touchStore32(t, as, wo+32, 0) // the write-only slot is cached
+			r := cpu.Regs{PC: code}
+			var cycles uint64
+			for {
+				var c uint64
+				var tr cpu.Trap
+				if tier == "step" {
+					c, tr = cpu.Step(&r, as)
+				} else {
+					c, _, tr = cpu.StepN(&r, as, 1<<40)
+				}
+				cycles += c
+				if tr.Kind != cpu.TrapNone {
+					return r, cycles, tr, *as.ExecStats()
+				}
+			}
+		}
+		wr, wc, wt, _ := run("step")
+		gr, gc, gt, es := run("threaded")
+		if wt.Kind != cpu.TrapFault || wt.Fault.VA != wo {
+			t.Fatalf("%v: reference trap %+v, want a read fault at %#x", op, wt, wo)
+		}
+		if es.LoopPasses == 0 {
+			t.Fatalf("%v: the sweep was not folded: %+v", op, es)
+		}
+		if gr != wr || gc != wc || gt != wt {
+			t.Fatalf("%v: folded loop %+v %d cycles %+v, Step loop %+v %d cycles %+v", op, gr, gc, gt, wr, wc, wt)
+		}
 	}
 }

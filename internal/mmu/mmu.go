@@ -25,11 +25,12 @@ import (
 // Perm is a page-protection bit set.
 type Perm uint8
 
-// Protection bits.
+// Protection bits. They are the cpu.TLB slot bits, so a translation's
+// permission goes into a TLB slot unconverted.
 const (
-	PermRead Perm = 1 << iota
-	PermWrite
-	PermExec
+	PermRead  Perm = cpu.TLBRead
+	PermWrite Perm = cpu.TLBWrite
+	PermExec  Perm = cpu.TLBExec
 )
 
 // PermRW and PermRWX are common combinations.
@@ -342,12 +343,14 @@ type pte struct {
 	track bool
 }
 
-// The software TLB: a small direct-mapped cache consulted before the pt
-// map on every access, exactly as hardware TLBs cache hardware page
+// The software TLB (cpu.TLB): a small direct-mapped cache consulted before
+// the pt map on every access, exactly as hardware TLBs cache hardware page
 // tables. Entries are a strict subset of pt (filled only from pt hits),
-// and every path that drops a PTE drops the matching TLB slot, so the TLB
-// can never hold a translation the page table lacks. A zeroed slot has
-// perm == 0 and therefore never hits.
+// and every path that drops or rewrites a PTE clears the matching TLB slot,
+// so the TLB can never hold a translation the page table lacks. A zeroed
+// slot has Perm == 0 and therefore never hits. The hit path lives in
+// internal/cpu and has two readers: this package's cpu.Memory methods and
+// the interpreter's fused blocks, which reach the slots through TLB().
 //
 // The capacity is per-AddrSpace (DefaultTLBSize unless NewAddrSpaceTLB
 // says otherwise); shrinking it only changes wall-clock cost, never
@@ -356,12 +359,6 @@ type pte struct {
 
 // DefaultTLBSize is the TLB capacity used by NewAddrSpace.
 const DefaultTLBSize = 256
-
-type tlbEntry struct {
-	vpn   uint32
-	perm  Perm // 0 = invalid slot
-	frame *mem.Frame
-}
 
 // icSize is the number of direct-mapped decoded-instruction page slots
 // per address space (see DecodedPageFor).
@@ -427,11 +424,10 @@ type AddrSpace struct {
 	mappings []*Mapping
 	io       []ioWindow // device register windows (see mmio.go)
 
-	// tlb caches recent pt entries (see tlbEntry); icache caches decoded
+	// tlb caches recent pt entries (see cpu.TLB); icache caches decoded
 	// instructions per executable page. Both are invisible to virtual
 	// time: they change only wall-clock cost, never cycles or Stats.
-	tlb      []tlbEntry
-	tlbMask  uint32
+	tlb      cpu.TLB
 	icache   [icSize]icEntry
 	noFast   bool // caches disabled (equivalence testing)
 	noBlocks bool // threaded-code tier disabled (Config.DisableThreadedCode)
@@ -463,15 +459,19 @@ func NewAddrSpaceTLB(alloc *mem.Allocator, size int) *AddrSpace {
 		n <<= 1
 	}
 	return &AddrSpace{
-		alloc:   alloc,
-		pt:      make(map[uint32]pte),
-		tlb:     make([]tlbEntry, n),
-		tlbMask: uint32(n - 1),
+		alloc: alloc,
+		pt:    make(map[uint32]pte),
+		tlb:   cpu.TLB{Slots: make([]cpu.TLBEntry, n), Mask: uint32(n - 1)},
 	}
 }
 
 // TLBSize returns the TLB capacity.
-func (as *AddrSpace) TLBSize() int { return len(as.tlb) }
+func (as *AddrSpace) TLBSize() int { return len(as.tlb.Slots) }
+
+// TLB implements cpu.DecodedSource: the interpreter's view of this space's
+// slots. It stays valid for the space's lifetime; with fast paths disabled
+// every slot is empty, so every lookup through it misses.
+func (as *AddrSpace) TLB() cpu.TLB { return as.tlb }
 
 // Allocator exposes the backing allocator (the pager uses it).
 func (as *AddrSpace) Allocator() *mem.Allocator { return as.alloc }
@@ -566,8 +566,8 @@ func (as *AddrSpace) FlushRange(base, size uint32) {
 			}
 		}
 	}
-	if pages >= uint64(len(as.tlb)) {
-		clear(as.tlb[:])
+	if pages >= uint64(len(as.tlb.Slots)) {
+		clear(as.tlb.Slots)
 	} else {
 		for vpn := first; vpn <= last; vpn++ {
 			as.flushSlot(vpn)
@@ -592,8 +592,8 @@ func (as *AddrSpace) FlushRange(base, size uint32) {
 
 // flushSlot invalidates the TLB slot for vpn if it holds that vpn.
 func (as *AddrSpace) flushSlot(vpn uint32) {
-	if e := &as.tlb[vpn&as.tlbMask]; e.perm != 0 && e.vpn == vpn {
-		*e = tlbEntry{}
+	if e := &as.tlb.Slots[vpn&as.tlb.Mask]; e.Perm != 0 && e.VPN == vpn {
+		*e = cpu.TLBEntry{}
 	}
 }
 
@@ -625,7 +625,7 @@ func (as *AddrSpace) ExecStats() *cpu.ExecStats { return &as.exec }
 // cached state; results must be bit-identical either way.
 func (as *AddrSpace) SetFastPaths(on bool) {
 	as.noFast = !on
-	clear(as.tlb[:])
+	clear(as.tlb.Slots)
 	clear(as.icache[:])
 }
 
@@ -634,11 +634,10 @@ func (as *AddrSpace) SetFastPaths(on bool) {
 // lookup; like probe it counts no Faults and changes no cache state, and
 // with fast paths disabled the TLB is empty and every call reads pt.
 func (as *AddrSpace) Present(va uint32, acc cpu.Access) bool {
-	vpn := mem.VPN(va)
-	if e := &as.tlb[vpn&as.tlbMask]; e.vpn == vpn && e.perm&needs(acc) != 0 {
+	if as.tlb.Page(va, uint8(needs(acc))) != nil {
 		return true
 	}
-	e, ok := as.pt[vpn]
+	e, ok := as.pt[mem.VPN(va)]
 	return ok && e.perm&needs(acc) != 0
 }
 
@@ -844,8 +843,8 @@ func (as *AddrSpace) armTrackRange(base, size uint32) {
 		if e, ok := as.pt[vpn]; ok && !e.track {
 			e.track = true
 			as.pt[vpn] = e
-			if t := &as.tlb[vpn&as.tlbMask]; t.perm&PermWrite != 0 && t.vpn == vpn {
-				t.perm &^= PermWrite
+			if t := &as.tlb.Slots[vpn&as.tlb.Mask]; t.Perm&cpu.TLBWrite != 0 && t.VPN == vpn {
+				t.Perm &^= cpu.TLBWrite
 			}
 		}
 	}
@@ -873,8 +872,8 @@ func (as *AddrSpace) writeProtectPage(va uint32) {
 		e.perm &^= PermWrite
 		as.pt[vpn] = e
 	}
-	if e := &as.tlb[vpn&as.tlbMask]; e.perm&PermWrite != 0 && e.vpn == vpn {
-		e.perm &^= PermWrite
+	if e := &as.tlb.Slots[vpn&as.tlb.Mask]; e.Perm&cpu.TLBWrite != 0 && e.VPN == vpn {
+		e.Perm &^= cpu.TLBWrite
 	}
 }
 
@@ -912,7 +911,7 @@ func (as *AddrSpace) translate(va uint32, acc cpu.Access) (*mem.Frame, uint32, *
 			// store cannot hit the TLB and bypass the dirty log.
 			perm &^= PermWrite
 		}
-		as.tlb[vpn&as.tlbMask] = tlbEntry{vpn: vpn, perm: perm, frame: e.frame}
+		as.tlb.Slots[vpn&as.tlb.Mask] = cpu.TLBEntry{VPN: vpn, Perm: uint8(perm), Frame: e.frame}
 	}
 	return e.frame, va & mem.PageMask, nil
 }
@@ -922,8 +921,8 @@ func (as *AddrSpace) translate(va uint32, acc cpu.Access) (*mem.Frame, uint32, *
 // paths use it so their translation probes are invisible to diagnostics.
 func (as *AddrSpace) probe(va uint32, acc cpu.Access) *mem.Frame {
 	vpn := mem.VPN(va)
-	if e := &as.tlb[vpn&as.tlbMask]; e.vpn == vpn && e.perm&needs(acc) != 0 {
-		return e.frame
+	if e := &as.tlb.Slots[vpn&as.tlb.Mask]; e.VPN == vpn && e.Perm&uint8(needs(acc)) != 0 {
+		return e.Frame
 	}
 	if e, ok := as.pt[vpn]; ok && e.perm&needs(acc) != 0 && !(e.track && acc == cpu.Write) {
 		// An armed entry must not satisfy a write probe: DirectWindow
@@ -938,14 +937,12 @@ func (as *AddrSpace) probe(va uint32, acc cpu.Access) *mem.Frame {
 // memory (translations and device windows are disjoint — see mmio.go), so
 // only a miss asks whether va is a device register.
 func (as *AddrSpace) Load32(va uint32) (uint32, *cpu.Fault) {
+	if v, ok := as.tlb.Load32(va); ok {
+		return v, nil
+	}
 	if va%4 != 0 {
 		as.Faults++
 		return 0, &cpu.Fault{VA: va, Access: cpu.Read}
-	}
-	vpn := mem.VPN(va)
-	if e := &as.tlb[vpn&as.tlbMask]; e.vpn == vpn && e.perm&PermRead != 0 {
-		d := e.frame.Data[va&mem.PageMask:]
-		return uint32(d[0]) | uint32(d[1])<<8 | uint32(d[2])<<16 | uint32(d[3])<<24, nil
 	}
 	if w := as.ioAt(va); w != nil {
 		return w.h.IORead32(va - w.base), nil
@@ -960,16 +957,12 @@ func (as *AddrSpace) Load32(va uint32) (uint32, *cpu.Fault) {
 
 // Store32 implements cpu.Memory; device stores are found as in Load32.
 func (as *AddrSpace) Store32(va uint32, v uint32) *cpu.Fault {
+	if as.tlb.Store32(va, v) {
+		return nil
+	}
 	if va%4 != 0 {
 		as.Faults++
 		return &cpu.Fault{VA: va, Access: cpu.Write}
-	}
-	vpn := mem.VPN(va)
-	if e := &as.tlb[vpn&as.tlbMask]; e.vpn == vpn && e.perm&PermWrite != 0 {
-		e.frame.Gen++
-		d := e.frame.Data[va&mem.PageMask:]
-		d[0], d[1], d[2], d[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-		return nil
 	}
 	if w := as.ioAt(va); w != nil {
 		w.h.IOWrite32(va-w.base, v)
@@ -987,9 +980,8 @@ func (as *AddrSpace) Store32(va uint32, v uint32) *cpu.Fault {
 
 // Load8 implements cpu.Memory.
 func (as *AddrSpace) Load8(va uint32) (byte, *cpu.Fault) {
-	vpn := mem.VPN(va)
-	if e := &as.tlb[vpn&as.tlbMask]; e.vpn == vpn && e.perm&PermRead != 0 {
-		return e.frame.Data[va&mem.PageMask], nil
+	if v, ok := as.tlb.Load8(va); ok {
+		return v, nil
 	}
 	f, off, flt := as.translate(va, cpu.Read)
 	if flt != nil {
@@ -1000,10 +992,7 @@ func (as *AddrSpace) Load8(va uint32) (byte, *cpu.Fault) {
 
 // Store8 implements cpu.Memory.
 func (as *AddrSpace) Store8(va uint32, v byte) *cpu.Fault {
-	vpn := mem.VPN(va)
-	if e := &as.tlb[vpn&as.tlbMask]; e.vpn == vpn && e.perm&PermWrite != 0 {
-		e.frame.Gen++
-		e.frame.Data[va&mem.PageMask] = v
+	if as.tlb.Store8(va, v) {
 		return nil
 	}
 	f, off, flt := as.translate(va, cpu.Write)
@@ -1017,14 +1006,12 @@ func (as *AddrSpace) Store8(va uint32, v byte) *cpu.Fault {
 
 // Fetch32 implements cpu.Memory (instruction fetch).
 func (as *AddrSpace) Fetch32(va uint32) (uint32, *cpu.Fault) {
+	if v, ok := as.tlb.Fetch32(va); ok {
+		return v, nil
+	}
 	if va%4 != 0 {
 		as.Faults++
 		return 0, &cpu.Fault{VA: va, Access: cpu.Exec}
-	}
-	vpn := mem.VPN(va)
-	if e := &as.tlb[vpn&as.tlbMask]; e.vpn == vpn && e.perm&PermExec != 0 {
-		d := e.frame.Data[va&mem.PageMask:]
-		return uint32(d[0]) | uint32(d[1])<<8 | uint32(d[2])<<16 | uint32(d[3])<<24, nil
 	}
 	f, off, flt := as.translate(va, cpu.Exec)
 	if flt != nil {

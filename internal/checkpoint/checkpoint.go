@@ -304,7 +304,8 @@ func captureStruct(k *core.Kernel, s *obj.Space, c *memCap) (threads []ThreadRec
 		})
 	}
 
-	for va, o := range s.Objects {
+	for _, va := range handleOrder(s) {
+		o := s.Objects[va]
 		h := o.Hdr()
 		if h.Dead {
 			continue
@@ -358,6 +359,19 @@ func captureStruct(k *core.Kernel, s *obj.Space, c *memCap) (threads []ThreadRec
 		}
 	}
 	return threads, objects, mappings
+}
+
+// handleOrder returns s's handle VAs in ascending order. Walking the
+// handle table in this order, not Go's map order, makes an image — and so
+// the threads a restore creates and starts, in its order — a function of
+// kernel state alone.
+func handleOrder(s *obj.Space) []uint32 {
+	vas := make([]uint32, 0, len(s.Objects))
+	for va := range s.Objects {
+		vas = append(vas, va)
+	}
+	slices.Sort(vas)
+	return vas
 }
 
 // CaptureWithNIC is Capture plus the device-side state of a NIC whose

@@ -2,6 +2,7 @@ package checkpoint_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -224,6 +225,30 @@ func TestCaptureIsPrompt(t *testing.T) {
 	if k.Clock.Now() != before {
 		t.Fatalf("capture consumed %d guest cycles; promptness means it needs none",
 			k.Clock.Now()-before)
+	}
+}
+
+// TestTwinCapturesIdentical: an image is a function of kernel state, not
+// of Go's map order — twin kernels captured at the same cut give equal
+// images, so a restore creates and starts their threads in one order.
+func TestTwinCapturesIdentical(t *testing.T) {
+	var first checkpoint.Image
+	for i := 0; i < 20; i++ {
+		k := core.New(core.Config{Model: core.ModelInterrupt})
+		s, _ := buildWorkload(t, k, 8)
+		k.RunFor(400_000)
+		img, err := checkpoint.Capture(k, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := checkpoint.Image{Threads: img.Threads, Objects: img.Objects,
+			Frames: img.Frames, Regions: img.Regions, Mappings: img.Mappings}
+		if i == 0 {
+			first = got
+		} else if !reflect.DeepEqual(got, first) {
+			t.Fatalf("capture %d differs from capture 0:\n threads %+v\nobjects %+v\n   want %+v\n        %+v",
+				i, got.Threads, got.Objects, first.Threads, first.Objects)
+		}
 	}
 }
 

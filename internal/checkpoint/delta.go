@@ -279,8 +279,8 @@ func walkRegions(s *obj.Space, c *memCap) {
 		}
 		c.regionOf(m.Region)
 	}
-	for _, o := range s.Objects {
-		if r, ok := o.(*obj.Region); ok && !r.Hdr().Dead {
+	for _, va := range handleOrder(s) {
+		if r, ok := s.Objects[va].(*obj.Region); ok && !r.Hdr().Dead {
 			c.regionOf(r.R)
 		}
 	}

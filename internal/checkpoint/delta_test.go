@@ -3,73 +3,17 @@ package checkpoint_test
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/equiv"
 	"repro/internal/mem"
 	"repro/internal/mmu"
 	"repro/internal/obj"
 	"repro/internal/prog"
 	"repro/internal/sys"
 )
-
-// imageMemEqual compares the memory side of two images the way Restore
-// consumes it: region shapes, present-page sets, page contents, per-page
-// COW marks, and the sharing partition (which slots alias one frame).
-// Frame *indexes* are allowed to differ — they are an encoding detail.
-func imageMemEqual(a, b *checkpoint.Image) error {
-	if len(a.Regions) != len(b.Regions) {
-		return fmt.Errorf("region count %d vs %d", len(a.Regions), len(b.Regions))
-	}
-	type site struct {
-		reg, page int
-	}
-	partA := map[int32][]site{}
-	partB := map[int32][]site{}
-	for i := range a.Regions {
-		ra, rb := a.Regions[i], b.Regions[i]
-		if ra.Size != rb.Size || ra.DemandZero != rb.DemandZero || ra.PagerPortVA != rb.PagerPortVA {
-			return fmt.Errorf("region %d shape differs", i)
-		}
-		if len(ra.Pages) != len(rb.Pages) {
-			return fmt.Errorf("region %d: page tables of %d vs %d entries", i, len(ra.Pages), len(rb.Pages))
-		}
-		for p, fa := range ra.Pages {
-			fb := rb.Pages[p]
-			if (fa < 0) != (fb < 0) {
-				return fmt.Errorf("region %d page %d present only in one image", i, p)
-			}
-			if fa < 0 {
-				continue
-			}
-			if !bytes.Equal(a.Frames[fa].Data, b.Frames[fb].Data) {
-				return fmt.Errorf("region %d page %d contents differ", i, p)
-			}
-			if a.Frames[fa].Cow != b.Frames[fb].Cow {
-				return fmt.Errorf("region %d page %d cow %v vs %v", i, p, a.Frames[fa].Cow, b.Frames[fb].Cow)
-			}
-			partA[fa] = append(partA[fa], site{i, p})
-			partB[fb] = append(partB[fb], site{i, p})
-		}
-	}
-	// Same partition: the groups of sites sharing one frame must match.
-	// (Both walks are in address order, so equal groups are equal slices.)
-	for i := range a.Regions {
-		for p, fa := range a.Regions[i].Pages {
-			if fa < 0 {
-				continue
-			}
-			fb := b.Regions[i].Pages[p]
-			if !reflect.DeepEqual(partA[fa], partB[fb]) {
-				return fmt.Errorf("sharing partition differs at region %d page %d: %v vs %v",
-					i, p, partA[fa], partB[fb])
-			}
-		}
-	}
-	return nil
-}
 
 // deltaChain runs the workload with three snapshot points — a warm
 // memory baseline, a warm delta, and a final full-stop delta capture —
@@ -135,7 +79,7 @@ func TestDeltaEquivalence(t *testing.T) {
 				}
 
 				baseImg, imgDelta, d1, d2 := deltaChain(t, cfg, rounds, cutA, cutB, cutC)
-				if err := imageMemEqual(imgFull, imgDelta); err != nil {
+				if err := equiv.ImageMemEqual(imgFull, imgDelta); err != nil {
 					t.Fatalf("base+delta chain diverges from full capture: %v", err)
 				}
 
@@ -149,13 +93,13 @@ func TestDeltaEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := imageMemEqual(imgFull, alt2); err != nil {
+				if err := equiv.ImageMemEqual(imgFull, alt2); err != nil {
 					t.Fatalf("Apply-fold replay diverges from full capture: %v", err)
 				}
 
-				// Restore both and finish: identical logs, identical final
-				// memory, identical kernel stats.
-				run := func(img *checkpoint.Image) ([]byte, []byte, core.Stats) {
+				// Restore both and finish: identical logs, final memory,
+				// kernel stats and clocks.
+				run := func(img *checkpoint.Image) *equiv.Digest {
 					k := core.New(cfg)
 					s, threads, err := checkpoint.Restore(k, img)
 					if err != nil {
@@ -168,22 +112,12 @@ func TestDeltaEquivalence(t *testing.T) {
 							t.Fatalf("restored worker stuck: state=%v pc=%#x", th.State, th.Regs.PC)
 						}
 					}
-					memDump, err := k.ReadMem(s, dataBase, int(dataLen))
-					if err != nil {
-						t.Fatal(err)
-					}
-					return finalLog(t, k, s, rounds), memDump, k.Stats()
+					d := equiv.Take(t, k)
+					d.Mem = []equiv.Range{equiv.Read(t, k, s, "data", dataBase, int(dataLen))}
+					return d
 				}
-				logF, memF, statsF := run(imgFull)
-				logD, memD, statsD := run(imgDelta)
-				if !bytes.Equal(logF, logD) {
-					t.Fatalf("restored logs differ\n full %v\ndelta %v", logF, logD)
-				}
-				if !bytes.Equal(memF, memD) {
-					t.Fatal("restored final memory differs")
-				}
-				if !reflect.DeepEqual(statsF, statsD) {
-					t.Fatalf("restored kernel stats differ:\n full %+v\ndelta %+v", statsF, statsD)
+				if diff := equiv.Diff(run(imgFull), run(imgDelta), equiv.Identical); diff != "" {
+					t.Fatalf("restored full vs delta chain: %s", diff)
 				}
 			})
 		}

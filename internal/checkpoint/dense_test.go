@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/equiv"
 	"repro/internal/mem"
 	"repro/internal/obj"
 	"repro/internal/sys"
@@ -74,7 +75,7 @@ func TestDeltaAgainstRearmedTrackerCapturesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := imageMemEqual(fresh, img); err != nil {
+	if err := equiv.ImageMemEqual(fresh, img); err != nil {
 		t.Fatalf("delta against A materialized stale memory: %v", err)
 	}
 	if len(d.Frames) != len(fresh.Frames) || d.CleanFrames != 0 {
@@ -95,7 +96,7 @@ func TestDeltaAgainstRearmedTrackerCapturesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := imageMemEqual(full, img2); err != nil {
+	if err := equiv.ImageMemEqual(full, img2); err != nil {
 		t.Fatalf("follow-up delta: %v", err)
 	}
 }

@@ -178,9 +178,11 @@ type Config struct {
 	// DisableFastPath turns off the simulator fast paths (software TLB,
 	// decoded-instruction cache, run-to-next-event batching, page-run
 	// IPC copies) and uses the reference per-instruction interpreter
-	// loop. Results are bit-identical either way — the equivalence tests
-	// compare both — so this exists only for that comparison and for
-	// debugging the fast paths themselves.
+	// loop. Results are bit-identical either way but for the clock a
+	// device register handler reads mid-batch (the batch's start with the
+	// fast paths on), which the NIC times the work a register write kicks
+	// from; internal/equiv compares both. This exists only for that
+	// comparison and for debugging the fast paths themselves.
 	DisableFastPath bool
 
 	// DisableThreadedCode turns off the threaded-code interpreter tier:

@@ -479,28 +479,6 @@ func TestThreadWaitJoin(t *testing.T) {
 	})
 }
 
-func TestModelEquivalence(t *testing.T) {
-	// The same program must produce identical user-visible results under
-	// every configuration (paper: the configuration option "has no impact
-	// on the functionality of the API").
-	results := map[string]uint32{}
-	for _, cfg := range allConfigs() {
-		e := newEnv(t, cfg)
-		const n = 30
-		b := mutexCounterProgram(n)
-		t1 := e.spawn(t, b, 10)
-		t2 := e.spawnAt(b.Addr("t2"), 10)
-		e.run(t, 200_000_000, t1, t2)
-		results[cfg.Name()] = e.word(t, dataBase+0x200)
-	}
-	want := results["Process NP"]
-	for name, got := range results {
-		if got != want {
-			t.Errorf("%s result %d differs from Process NP %d", name, got, want)
-		}
-	}
-}
-
 func TestMemOverheadTable7Shape(t *testing.T) {
 	// Interrupt model: per-thread cost is the TCB only. Process model:
 	// TCB + stack. The paper's Fluke row: interrupt 300 B, process

@@ -5,16 +5,16 @@ package core_test
 // bit-identical user-visible results under every kernel configuration —
 // the paper's claim that the execution model is invisible to the API
 // ("the configuration option to select between the two models has no
-// impact on the functionality of the API", §3.1), checked mechanically.
+// impact on the functionality of the API", §3.1), checked mechanically
+// by internal/equiv in every cell of its matrix.
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/equiv"
 	"repro/internal/obj"
 	"repro/internal/prog"
 	"repro/internal/sys"
@@ -68,12 +68,17 @@ func genThread(b *prog.Builder, rng *rand.Rand, label string, area uint32, actio
 	b.Halt()
 }
 
-// runSeed builds the seeded two-thread program on cfg and returns the
-// final observable memory and the kernel (for Stats / virtual-time
-// comparison).
-func runSeed(t *testing.T, cfg core.Config, seed int64) ([]byte, *core.Kernel) {
+// seeded is the seeded two-thread program as a scenario's Run; its digest
+// carries the shared counter and both private areas.
+func seeded(seed int64) func(*testing.T, *equiv.Run) *equiv.Digest {
+	return func(t *testing.T, r *equiv.Run) *equiv.Digest {
+		return runSeed(t, r, seed)
+	}
+}
+
+func runSeed(t *testing.T, r *equiv.Run, seed int64) *equiv.Digest {
 	t.Helper()
-	e := newEnv(t, cfg)
+	e := newEnv(t, r.Config)
 	e.k.EnableMetrics() // metrics never perturb virtual time
 	bindIPC(t, e.k, e.s, e.s)
 	mo, _ := obj.New(sys.ObjMutex)
@@ -111,122 +116,65 @@ func runSeed(t *testing.T, cfg core.Config, seed int64) ([]byte, *core.Kernel) {
 	e.spawnAt(b.Addr("echo"), 12)
 	ta := e.spawnAt(b.Addr("ta"), 10)
 	tb := e.spawnAt(b.Addr("tb"), 10)
-	e.run(t, 4_000_000_000, ta, tb)
-	out, err := e.k.ReadMem(e.s, dataBase+0x80, 4) // shared counter
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, area := range []uint32{eqAreaA, eqAreaB} {
-		m, err := e.k.ReadMem(e.s, area, eqArea)
-		if err != nil {
-			t.Fatal(err)
+	// In the restore step the run ends on a fresh kernel, where a worker
+	// that exited before the cut was never restored.
+	e.k, e.s = r.Go(e.k, e.s, 4_000_000_000)
+	for _, th := range []*obj.Thread{ta, tb} {
+		if x, _ := e.s.At(th.VA).(*obj.Thread); x != nil && !x.Exited {
+			t.Fatalf("worker at %#x did not exit (pc=%#x)", th.VA, x.Regs.PC)
 		}
-		out = append(out, m...)
 	}
-	return out, e.k
+	d := equiv.Take(t, e.k)
+	d.Mem = []equiv.Range{
+		equiv.Read(t, e.k, e.s, "shared counter", eqShared, 4),
+		equiv.Read(t, e.k, e.s, "area A", eqAreaA, eqArea),
+		equiv.Read(t, e.k, e.s, "area B", eqAreaB, eqArea),
+	}
+	return d
 }
 
+// seedFlags are the flags the seeded program exercises. It moves no page-
+// sized IPC run, so zero-copy never fires.
+var seedFlags = []equiv.Flag{equiv.FastPath, equiv.ThreadedCode, equiv.Profiler, equiv.IPCFastPath}
+
+// checkSeed runs the seeded program through the full cross-product of
+// seedFlags. It does so under the names of the tests it replaced, one seed
+// each; TestProfilerDeterministicPerSeed is among them because the
+// determinism step reruns the run with every flag, the profiler's included.
+func checkSeed(t *testing.T, seed int64) {
+	equiv.Check(t, equiv.Scenario{Flags: seedFlags, Run: seeded(seed)})
+}
+
+func TestFastPathEquivalence(t *testing.T)                { checkSeed(t, 31337) }
+func TestIPCFastPathEquivalence(t *testing.T)             { checkSeed(t, 1) }
+func TestThreadedCodeEquivalence(t *testing.T)            { checkSeed(t, 42) }
+func TestProfilerEquivalence(t *testing.T)                { checkSeed(t, 7) }
+func TestUniprocessorLockModelsBitIdentical(t *testing.T) { checkSeed(t, 0xF1BE) }
+func TestModelEquivalence(t *testing.T)                   { checkSeed(t, 271828) }
+func TestProfilerDeterministicPerSeed(t *testing.T)       { checkSeed(t, 31415926) }
+
+// TestMultiCPUDeterministic also repeats runs at 8, 16 and 64 CPUs, which
+// exercise the clock heap and the per-instance lock table at scale; fine
+// is the model whose slot fan-out could plausibly perturb the interleaving.
+func TestMultiCPUDeterministic(t *testing.T) {
+	checkSeed(t, 1999)
+	for _, cfg := range allConfigs() {
+		for _, n := range []int{8, 16, 64} {
+			cfg.NumCPUs, cfg.LockModel = n, core.LockFine
+			a, b := runSeed(t, &equiv.Run{Config: cfg}, 1999), runSeed(t, &equiv.Run{Config: cfg}, 1999)
+			if diff := equiv.Diff(a, b, equiv.Identical); diff != "" {
+				t.Errorf("%s at %d CPUs, run to run: %s%s", cfg.Name(), n, diff, equiv.Replay(t.Name()))
+			}
+		}
+	}
+}
+
+// TestModelEquivalenceFuzz sweeps more programs, with no flag: the
+// configurations, determinism and restore steps.
 func TestModelEquivalenceFuzz(t *testing.T) {
-	seeds := []int64{1, 7, 42, 1999, 0xF1BE, 31337, 271828, 31415926}
-	if testing.Short() {
-		seeds = seeds[:3]
-	}
-	for _, seed := range seeds {
-		seed := seed
+	for _, seed := range []int64{1, 7, 42, 1999, 0xF1BE, 31337, 271828, 31415926} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			var want []byte
-			var wantCfg string
-			for _, cfg := range core.Configurations() {
-				got, _ := runSeed(t, cfg, seed)
-				if want == nil {
-					want, wantCfg = got, cfg.Name()
-					continue
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("%s result differs from %s (seed %d)", cfg.Name(), wantCfg, seed)
-				}
-			}
-		})
-	}
-}
-
-// TestIPCFastPathEquivalence pins the IPC fast path's transparency: the
-// direct handoff and register-carried transfers deliberately change
-// virtual time (that is the optimisation), but nothing a user program can
-// observe may differ with the path on vs off — final memory (message
-// payloads and published register results included) and the Table 3
-// restart-cause counts — across all five paper configurations ×
-// NumCPUs {1,2,4} × both lock models.
-func TestIPCFastPathEquivalence(t *testing.T) {
-	seeds := []int64{1, 42, 31337}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	totalHits := uint64(0)
-	for _, base := range core.Configurations() {
-		for _, ncpu := range []int{1, 2, 4} {
-			for _, lm := range lockModels {
-				cfg := base
-				cfg.NumCPUs = ncpu
-				cfg.LockModel = lm
-				t.Run(fmt.Sprintf("%s/cpus=%d/%s", base.Name(), ncpu, lm), func(t *testing.T) {
-					for _, seed := range seeds {
-						onMem, onK := runSeed(t, cfg, seed)
-						off := cfg
-						off.DisableIPCFastPath = true
-						offMem, offK := runSeed(t, off, seed)
-						if !bytes.Equal(onMem, offMem) {
-							t.Fatalf("seed %d: observable memory differs with IPC fast path on vs off", seed)
-						}
-						onR := onK.Metrics.RestartsByCause()
-						offR := offK.Metrics.RestartsByCause()
-						if onR != offR {
-							t.Fatalf("seed %d: Table 3 restart causes differ: on=%v off=%v", seed, onR, offR)
-						}
-						totalHits += onK.Stats().FastpathHits
-						if s := offK.Stats(); s.FastpathHits != 0 {
-							t.Fatalf("seed %d: disabled run recorded %d handoffs", seed, s.FastpathHits)
-						}
-					}
-				})
-			}
-		}
-	}
-	if totalHits == 0 {
-		t.Fatal("no handoff fired anywhere in the matrix; the test is vacuous")
-	}
-}
-
-// TestFastPathEquivalence pins the tentpole invariant: the simulator fast
-// paths (software TLB, decoded-instruction cache, run-to-next-event
-// batching, page-run IPC copies) are invisible to virtual time. Every
-// configuration must produce bit-identical observable memory, Stats, and
-// final clock with the caches on and off.
-func TestFastPathEquivalence(t *testing.T) {
-	seeds := []int64{1, 42, 31337}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, cfg := range core.Configurations() {
-		cfg := cfg
-		t.Run(cfg.Name(), func(t *testing.T) {
-			for _, seed := range seeds {
-				fastMem, fastK := runSeed(t, cfg, seed)
-				slow := cfg
-				slow.DisableFastPath = true
-				slowMem, slowK := runSeed(t, slow, seed)
-				if !bytes.Equal(fastMem, slowMem) {
-					t.Fatalf("seed %d: observable memory differs with fast paths on vs off", seed)
-				}
-				if fastK.Clock.Now() != slowK.Clock.Now() {
-					t.Fatalf("seed %d: virtual time differs: fast=%d slow=%d",
-						seed, fastK.Clock.Now(), slowK.Clock.Now())
-				}
-				if !reflect.DeepEqual(fastK.Stats(), slowK.Stats()) {
-					t.Fatalf("seed %d: Stats differ with fast paths on vs off:\nfast: %+v\nslow: %+v",
-						seed, fastK.Stats(), slowK.Stats())
-				}
-			}
+			equiv.Check(t, equiv.Scenario{Restore: true, Run: seeded(seed)})
 		})
 	}
 }

@@ -10,10 +10,11 @@ package core_test
 // page boundary into an unpopulated pager-backed page.
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/equiv"
 	"repro/internal/mem"
 	"repro/internal/mmu"
 	"repro/internal/obj"
@@ -21,22 +22,13 @@ import (
 	"repro/internal/sys"
 )
 
-// handoffFaultResult is everything a user program (or Table 3) can see.
-// The pager's port/portset handle slots (pgPortVA/pgPsVA) are shared with
-// fastpath_core_test.go.
-type handoffFaultResult struct {
-	payload   [core.FastMsgWords]uint32 // words landed in the server's buffer
-	reply     uint32                    // last payload word, echoed back
-	faults    map[core.FaultKey]uint64
-	rollback  map[core.FaultKey]uint64
-	restarts  [4]uint64
-	fallbacks uint64
-}
-
 // runHandoffFault runs one FastMsgWords-word RPC whose receive buffer
 // crosses into an unpopulated pager-backed page at word wordOff, so the
-// copy hard-faults exactly there, and returns the observable outcome.
-func runHandoffFault(t *testing.T, cfg core.Config, wordOff int) handoffFaultResult {
+// copy hard-faults exactly there, and digests the outcome: the words landed
+// in the server's buffer and the reply (the last word, echoed back). The
+// pager's handle slots (pgPortVA/pgPsVA) are shared with
+// fastpath_core_test.go.
+func runHandoffFault(t *testing.T, cfg core.Config, wordOff int) *equiv.Digest {
 	t.Helper()
 	e := newEnv(t, cfg)
 	e.k.EnableMetrics()
@@ -122,17 +114,9 @@ func runHandoffFault(t *testing.T, cfg core.Config, wordOff int) handoffFaultRes
 	client := e.spawn(t, cli, 10)
 	e.run(t, 400_000_000, client)
 
-	var res handoffFaultResult
-	for j := 0; j < core.FastMsgWords; j++ {
-		res.payload[j] = e.word(t, rbuf+uint32(4*j))
-	}
-	res.reply = e.word(t, ackBuf)
-	st := e.k.Stats()
-	res.faults = st.FaultCount
-	res.rollback = st.FaultRollback
-	res.restarts = e.k.Metrics.RestartsByCause()
-	res.fallbacks = st.FastpathFallbacks
-	return res
+	d := equiv.Take(t, e.k)
+	d.Mem = []equiv.Range{equiv.Read(t, e.k, e.s, "payload", rbuf, 4*core.FastMsgWords), equiv.Read(t, e.k, e.s, "reply", ackBuf, 4)}
+	return d
 }
 
 func TestFastPathFaultDuringHandoff(t *testing.T) {
@@ -143,45 +127,32 @@ func TestFastPathFaultDuringHandoff(t *testing.T) {
 			off.DisableIPCFastPath = true
 			offR := runHandoffFault(t, off, wordOff)
 
-			// The transfer must have arrived intact in both runs.
+			// The transfer must have arrived intact, and everything the
+			// guest or Table 3 can see must match the run without handoffs.
 			for j := 0; j < core.FastMsgWords; j++ {
-				if want := uint32(0x1010 + 7*j); on.payload[j] != want {
-					t.Fatalf("off=%d word %d = %#x, want %#x (fast path on)",
-						wordOff, j, on.payload[j], want)
+				if got, want := leWord(on.Mem[0].Bytes[4*j:]), uint32(0x1010+7*j); got != want {
+					t.Fatalf("off=%d word %d = %#x, want %#x (fast path on)", wordOff, j, got, want)
 				}
 			}
-			wantReply := uint32(0x1010 + 7*(core.FastMsgWords-1))
-			if on.reply != wantReply || offR.reply != wantReply {
-				t.Fatalf("off=%d reply on=%#x off=%#x, want %#x",
-					wordOff, on.reply, offR.reply, wantReply)
+			if got, want := leWord(on.Mem[1].Bytes), uint32(0x1010+7*(core.FastMsgWords-1)); got != want {
+				t.Fatalf("off=%d reply %#x, want %#x", wordOff, got, want)
 			}
-			if on.payload != offR.payload {
-				t.Fatalf("off=%d payload differs on vs off:\non:  %#x\noff: %#x",
-					wordOff, on.payload, offR.payload)
-			}
-			// Bit-identical unwind accounting: same fault classes, same
-			// rolled-back cycles, same Table 3 restart causes.
-			if !reflect.DeepEqual(on.faults, offR.faults) {
-				t.Fatalf("off=%d fault counts differ: on=%v off=%v",
-					wordOff, on.faults, offR.faults)
+			if diff := equiv.Diff(on, offR, equiv.Guest); diff != "" {
+				t.Fatalf("off=%d fast path on vs off: %s", wordOff, diff)
 			}
 			// Rollback cycles are the cost of re-doing charged copy work;
 			// register-carried words are never charged, so the fast path
 			// may only shrink them — never grow them.
-			for key, offCyc := range offR.rollback {
-				if onCyc := on.rollback[key]; onCyc > offCyc {
+			for key, offCyc := range offR.Stats.FaultRollback {
+				if onCyc := on.Stats.FaultRollback[key]; onCyc > offCyc {
 					t.Fatalf("off=%d rollback grew with fast path on: %v on=%d off=%d",
 						wordOff, key, onCyc, offCyc)
 				}
 			}
-			if on.restarts != offR.restarts {
-				t.Fatalf("off=%d restart causes differ: on=%v off=%v",
-					wordOff, on.restarts, offR.restarts)
-			}
 			// The runs must actually have hard-faulted (pre-touch on page
 			// 0 plus the mid-transfer fault on page 1) ...
 			var hard uint64
-			for k, n := range on.faults {
+			for k, n := range on.Stats.FaultCount {
 				if k.Class == mmu.FaultHard {
 					hard += n
 				}
@@ -190,12 +161,58 @@ func TestFastPathFaultDuringHandoff(t *testing.T) {
 				t.Fatalf("off=%d only %d hard faults; the transfer never faulted", wordOff, hard)
 			}
 			// ... through the register-carried path when it was enabled.
-			if on.fallbacks == 0 {
+			if on.Stats.FastpathFallbacks == 0 {
 				t.Fatalf("off=%d fast path never fell back; fault missed the register-carried copy", wordOff)
 			}
-			if offR.fallbacks != 0 {
-				t.Fatalf("off=%d disabled run counted %d fallbacks", wordOff, offR.fallbacks)
+			if n := offR.Stats.FastpathFallbacks; n != 0 {
+				t.Fatalf("off=%d disabled run counted %d fallbacks", wordOff, n)
 			}
 		}
 	})
+}
+
+// TestFastPathPriorityGuard: a direct handoff never jumps the run queue.
+// The client's send completes the server's receive while a thread of equal
+// or higher priority than the server is queued; the queued thread must run
+// before the server does.
+func TestFastPathPriorityGuard(t *testing.T) {
+	const (
+		seq  = dataBase + 0x100 // shared run-order counter
+		qRan = dataBase + 0x104 // the queued thread's turn
+		sRan = dataBase + 0x108 // the server's turn
+		sbuf = dataBase + 0x200
+		rbuf = dataBase + 0x300
+		ebuf = dataBase + 0x400
+	)
+	// mark stores the next turn number at slot (one CPU: no interleaving).
+	mark := func(b *prog.Builder, slot uint32) *prog.Builder {
+		return b.Movi(4, seq).Ld(5, 4, 0).Addi(5, 5, 1).St(4, 0, 5).Movi(4, slot).St(4, 0, 5)
+	}
+	for _, srvPrio := range []int{10, 8} {
+		t.Run(fmt.Sprintf("server=%d", srvPrio), func(t *testing.T) {
+			forEachConfig(t, func(t *testing.T, cfg core.Config) {
+				e := newEnv(t, cfg)
+				bindIPC(t, e.k, e.s, e.s)
+				b := prog.New(codeBase)
+				b.Label("srv").IPCWaitReceive(ebuf, 2, psVA)
+				mark(b, sRan).IPCReplyWaitReceive(ebuf, 1, psVA, ebuf, 2).Halt()
+				b.Label("cli").IPCClientConnectSendOverReceive(sbuf, 1, refVA, rbuf, 1).IPCClientDisconnect().Halt()
+				mark(b.Label("queued"), qRan).Halt()
+				if _, err := e.k.LoadImage(e.s, codeBase, b.MustAssemble()); err != nil {
+					t.Fatal(err)
+				}
+				e.spawnAt(b.Addr("srv"), srvPrio)
+				e.k.RunFor(100_000) // the server blocks in its receive
+				cli := e.spawnAt(b.Addr("cli"), 10)
+				queued := e.spawnAt(b.Addr("queued"), 10)
+				e.run(t, 100_000_000, cli, queued)
+				if q, s := e.word(t, qRan), e.word(t, sRan); q != 1 || s != 2 {
+					t.Fatalf("server at priority %d ran turn %d, the queued priority-10 thread turn %d", srvPrio, s, q)
+				}
+				if e.k.Stats().FastpathFallbacks == 0 {
+					t.Fatal("no handoff was demoted to the run queue")
+				}
+			})
+		})
+	}
 }

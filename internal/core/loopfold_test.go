@@ -5,15 +5,16 @@ package core_test
 // one-page window that outlives single accesses; these tests pin that the
 // mmu invariants the TLB and the window lean on hold inside such a loop —
 // a dirty-tracked page is logged, a copy-on-write page faults, a pager
-// page hard-faults — exactly where the per-instruction interpreter says,
-// with every fast path on, with fused blocks off and with fast paths off.
+// page hard-faults — exactly where the per-instruction interpreter says:
+// the harness compares memory, fault trace, dirty-log sizes, Stats and
+// the clock with fused blocks off and with fast paths off.
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/equiv"
 	"repro/internal/mem"
 	"repro/internal/mmu"
 	"repro/internal/obj"
@@ -22,77 +23,11 @@ import (
 	"repro/internal/workload"
 )
 
-// interpVariants are the interpreter settings a counted loop must be
-// invisible across: the first is the default, the others its oracles.
-var interpVariants = []struct {
-	name  string
-	apply func(*core.Config)
-}{
-	{"default", func(*core.Config) {}},
-	{"threaded code off", func(c *core.Config) { c.DisableThreadedCode = true }},
-	{"fast paths off", func(c *core.Config) { c.DisableFastPath = true }},
-}
-
-// loopOutcome is what a counted-loop run must reproduce under every
-// interpreter variant.
-type loopOutcome struct {
-	mem    []byte
-	stats  core.Stats
-	now    uint64
-	faults [][2]uint32 // (VA, class|side<<8) of every fault, in order
-	dirty  []int       // DirtyCount after each phase (dirty-tracking runs)
-}
-
-// faultLog is the kernel's fault sequence from its trace ring.
-func faultLog(t *testing.T, k *core.Kernel) [][2]uint32 {
-	t.Helper()
-	var out [][2]uint32
-	for _, ev := range k.Tracer.Events() {
-		if ev.Kind == trace.Fault {
-			out = append(out, [2]uint32{ev.A, ev.B})
-		}
-	}
-	if k.Tracer.Dropped() != 0 {
-		t.Fatal("trace ring overflowed")
-	}
-	return out
-}
-
-// checkLoopVariants runs fn under every interpreter variant of every paper
-// configuration and requires identical outcomes within a configuration; it
-// also requires the default variant to have folded at least one loop pass.
-func checkLoopVariants(t *testing.T, fn func(t *testing.T, cfg core.Config) (loopOutcome, *core.Kernel)) {
-	forEachConfig(t, func(t *testing.T, cfg core.Config) {
-		var want loopOutcome
-		for i, v := range interpVariants {
-			c := cfg
-			v.apply(&c)
-			got, k := fn(t, c)
-			es := k.ExecStats()
-			switch {
-			case i == 0 && es.LoopPasses == 0:
-				t.Fatalf("%s: no counted-loop pass ran: %+v", v.name, es)
-			case i > 0 && es.LoopPasses != 0:
-				t.Fatalf("%s: %d counted-loop passes ran", v.name, es.LoopPasses)
-			}
-			if i == 0 {
-				want = got
-				continue
-			}
-			switch {
-			case !bytes.Equal(got.mem, want.mem):
-				t.Errorf("%s: memory differs", v.name)
-			case !reflect.DeepEqual(got.faults, want.faults):
-				t.Errorf("%s: fault sequence differs:\n got %x\nwant %x", v.name, got.faults, want.faults)
-			case !reflect.DeepEqual(got.dirty, want.dirty):
-				t.Errorf("%s: dirty log sizes %v, want %v", v.name, got.dirty, want.dirty)
-			case got.now != want.now:
-				t.Errorf("%s: virtual time %d, want %d", v.name, got.now, want.now)
-			case !reflect.DeepEqual(got.stats, want.stats):
-				t.Errorf("%s: Stats differ:\n got %+v\nwant %+v", v.name, got.stats, want.stats)
-			}
-		}
-	})
+// loopScenario is a counted-loop program under the interpreter variants
+// and the profiler; its default run must fold at least one loop pass.
+func loopScenario(run func(t *testing.T, r *equiv.Run) *equiv.Digest) equiv.Scenario {
+	return equiv.Scenario{Flags: []equiv.Flag{equiv.FastPath, equiv.ThreadedCode, equiv.Profiler},
+		Fires: []string{"LoopPasses"}, Run: run}
 }
 
 // sweepLoop emits a counted byte loop over [from, to): read a byte, store
@@ -115,23 +50,23 @@ func TestCountedLoopDirtyTracking(t *testing.T) {
 		pages = 8
 		va    = 0x0008_0000
 	)
-	checkLoopVariants(t, func(t *testing.T, cfg core.Config) (loopOutcome, *core.Kernel) {
-		e := newEnv(t, cfg)
+	equiv.Check(t, loopScenario(func(t *testing.T, r *equiv.Run) *equiv.Digest {
+		e := newEnv(t, r.Config)
 		k := e.k
 		k.Tracer = trace.NewRing(1 << 12)
-		r, err := k.NewBoundRegion(e.s, kernelDataHandle(), pages*pg, true)
+		reg, err := k.NewBoundRegion(e.s, kernelDataHandle(), pages*pg, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := k.MapInto(e.s, r, va, 0, pages*pg, mmu.PermRW); err != nil {
+		if _, err := k.MapInto(e.s, reg, va, 0, pages*pg, mmu.PermRW); err != nil {
 			t.Fatal(err)
 		}
 		if err := k.WriteMem(e.s, va, make([]byte, pages*pg)); err != nil {
 			t.Fatal(err)
 		}
-		var out loopOutcome
+		var dirty []int
 		for phase := 0; phase < 2; phase++ {
-			r.R.StartDirtyTracking()
+			reg.R.StartDirtyTracking()
 			b := prog.New(codeBase + uint32(phase)*pg)
 			sweepLoop(b, "sweep", va, va+pages*pg, 16)
 			b.Halt()
@@ -140,22 +75,20 @@ func TestCountedLoopDirtyTracking(t *testing.T) {
 				t.Fatal(err)
 			}
 			e.run(t, 1<<32, th)
-			out.dirty = append(out.dirty, r.R.DirtyCount())
-			if n := r.R.DirtyCount(); n != pages {
+			dirty = append(dirty, reg.R.DirtyCount())
+			if n := reg.R.DirtyCount(); n != pages {
 				t.Fatalf("phase %d: %d pages logged, want each of %d once", phase, n, pages)
 			}
 			for p := uint32(0); p < pages; p++ {
-				if !r.R.IsDirty(p * pg) {
+				if !reg.R.IsDirty(p * pg) {
 					t.Fatalf("phase %d: page %d stored but not logged", phase, p)
 				}
 			}
 		}
-		if out.mem, err = k.ReadMem(e.s, va, pages*pg); err != nil {
-			t.Fatal(err)
-		}
-		out.stats, out.now, out.faults = k.Stats(), k.Clock.Now(), faultLog(t, k)
-		return out, k
-	})
+		d := equiv.Take(t, k)
+		d.Mem, d.Dirty = []equiv.Range{equiv.Read(t, k, e.s, "swept region", va, pages*pg)}, dirty
+		return d
+	}))
 }
 
 // TestCountedLoopCOW: a counted loop that reads and then writes pages
@@ -169,8 +102,8 @@ func TestCountedLoopCOW(t *testing.T) {
 		srcVA = 0x0008_0000
 		dstVA = 0x000C_0000
 	)
-	checkLoopVariants(t, func(t *testing.T, cfg core.Config) (loopOutcome, *core.Kernel) {
-		k := core.New(cfg)
+	equiv.Check(t, loopScenario(func(t *testing.T, r *equiv.Run) *equiv.Digest {
+		k := core.New(r.Config)
 		t.Cleanup(k.Shutdown)
 		k.Tracer = trace.NewRing(1 << 12)
 		src, dst := k.NewSpace(), k.NewSpace()
@@ -212,16 +145,15 @@ func TestCountedLoopCOW(t *testing.T) {
 		if !th.Exited {
 			t.Fatalf("loop did not finish (pc=%#x)", th.Regs.PC)
 		}
-		var out loopOutcome
-		out.stats, out.now, out.faults = k.Stats(), k.Clock.Now(), faultLog(t, k)
+		d := equiv.Take(t, k)
 		cows := 0
-		for _, f := range out.faults {
+		for _, f := range d.Faults {
 			if mmu.FaultClass(f[1]&0xFF) == mmu.FaultCOW {
 				cows++
 			}
 		}
 		if cows != 2 {
-			t.Fatalf("%d COW faults %x, want one per shared page", cows, out.faults)
+			t.Fatalf("%d COW faults %x, want one per shared page", cows, d.Faults)
 		}
 		srcMem, err := k.ReadMem(src, srcVA, pages*pg)
 		if err != nil {
@@ -230,11 +162,9 @@ func TestCountedLoopCOW(t *testing.T) {
 		if !bytes.Equal(srcMem, img) {
 			t.Fatal("the sharing space saw the loop's stores")
 		}
-		if out.mem, err = k.ReadMem(dst, dstVA, pages*pg); err != nil {
-			t.Fatal(err)
-		}
-		return out, k
-	})
+		d.Mem = []equiv.Range{equiv.Read(t, k, dst, "swept region", dstVA, pages*pg)}
+		return d
+	}))
 }
 
 // TestCountedLoopMemtestRestarts: memtest's byte sweep takes its hard fault
@@ -243,9 +173,9 @@ func TestCountedLoopCOW(t *testing.T) {
 // the clock are those of the per-instruction interpreter. The folded
 // passes are exported as the cpu.blocks.loop_passes gauge.
 func TestCountedLoopMemtestRestarts(t *testing.T) {
-	const pages = 24
-	checkLoopVariants(t, func(t *testing.T, cfg core.Config) (loopOutcome, *core.Kernel) {
-		k := core.New(cfg)
+	const pages = 8
+	equiv.Check(t, loopScenario(func(t *testing.T, r *equiv.Run) *equiv.Digest {
+		k := core.New(r.Config)
 		t.Cleanup(k.Shutdown)
 		k.Tracer = trace.NewRing(1 << 14)
 		k.EnableMetrics()
@@ -260,13 +190,12 @@ func TestCountedLoopMemtestRestarts(t *testing.T) {
 		if got, want := k.Metrics.LoopPasses.Value(), k.ExecStats().LoopPasses; got != int64(want) {
 			t.Fatalf("cpu.blocks.loop_passes = %d, ExecStats says %d", got, want)
 		}
-		var out loopOutcome
-		out.stats, out.now, out.faults = k.Stats(), k.Clock.Now(), faultLog(t, k)
-		if n := out.stats.FaultCount[core.FaultKey{Class: mmu.FaultHard, Side: core.FaultSame}]; n != pages {
+		d := equiv.Take(t, k)
+		if n := d.Stats.FaultCount[core.FaultKey{Class: mmu.FaultHard, Side: core.FaultSame}]; n != pages {
 			t.Fatalf("%d hard faults counted, want one per page (%d)", n, pages)
 		}
 		hard := 0
-		for _, f := range out.faults {
+		for _, f := range d.Faults {
 			if mmu.FaultClass(f[1]&0xFF) == mmu.FaultHard {
 				if f[0]%mem.PageSize != 0 {
 					t.Fatalf("hard fault at %#x, want page boundaries only", f[0])
@@ -277,6 +206,6 @@ func TestCountedLoopMemtestRestarts(t *testing.T) {
 		if hard != pages {
 			t.Fatalf("%d hard faults, want %d", hard, pages)
 		}
-		return out, k
-	})
+		return d
+	}))
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/equiv"
 	"repro/internal/mem"
 	"repro/internal/mmu"
 	"repro/internal/prog"
@@ -63,22 +64,9 @@ func runObserve(t *testing.T, cfg core.Config, instrument bool) *env {
 // with and without instrumentation.
 func TestMetricsDoNotPerturbVirtualTime(t *testing.T) {
 	forEachConfig(t, func(t *testing.T, cfg core.Config) {
-		plain := runObserve(t, cfg, false)
-		inst := runObserve(t, cfg, true)
-		if p, i := plain.k.Clock.Now(), inst.k.Clock.Now(); p != i {
-			t.Fatalf("final virtual time diverged: plain=%d instrumented=%d", p, i)
-		}
-		pss, iss := plain.k.Stats(), inst.k.Stats()
-		ps, is := &pss, &iss
-		if ps.Syscalls != is.Syscalls || ps.ContextSwitches != is.ContextSwitches ||
-			ps.Restarts != is.Restarts {
-			t.Fatalf("event counts diverged: plain=%+v instrumented=%+v", ps, is)
-		}
-		if ps.UserCycles != is.UserCycles || ps.KernelCycles != is.KernelCycles ||
-			ps.IdleCycles != is.IdleCycles {
-			t.Fatalf("cycle accounting diverged: plain u=%d k=%d i=%d, instrumented u=%d k=%d i=%d",
-				ps.UserCycles, ps.KernelCycles, ps.IdleCycles,
-				is.UserCycles, is.KernelCycles, is.IdleCycles)
+		plain, inst := runObserve(t, cfg, false), runObserve(t, cfg, true)
+		if diff := equiv.Diff(equiv.Take(t, plain.k), equiv.Take(t, inst.k), equiv.Identical); diff != "" {
+			t.Fatalf("metrics on vs off: %s", diff)
 		}
 	})
 }

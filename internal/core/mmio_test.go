@@ -7,12 +7,10 @@ package core_test
 // observe depends on it.
 
 import (
-	"bytes"
-	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/equiv"
 	"repro/internal/mem"
 	"repro/internal/mmu"
 	"repro/internal/obj"
@@ -23,25 +21,18 @@ import (
 
 const mmioVA = 0x00D0_0000
 
-// devAccess is one register access a recDev saw, and when.
-type devAccess struct {
-	Write    bool
-	Off, Val uint32
-	At       uint64 // the CPU clock during the access
-}
-
 // recDev records every register access in order. A read returns a value
 // that depends on how many accesses came before it, so a reordered,
 // dropped or repeated device access changes what the guest computes.
 type recDev struct {
 	k       *core.Kernel
-	log     []devAccess
+	log     []equiv.DevAccess
 	onFirst func() // runs just before the first access is logged
 }
 
 func (d *recDev) IORead32(off uint32) uint32 {
 	v := uint32(len(d.log)+1)*0x9E3779B1 ^ off
-	d.log = append(d.log, devAccess{Off: off, Val: v, At: d.k.Clock.Now()})
+	d.log = append(d.log, equiv.DevAccess{Off: off, Val: v, At: d.k.Clock.Now()})
 	return v
 }
 
@@ -49,16 +40,7 @@ func (d *recDev) IOWrite32(off uint32, v uint32) {
 	if len(d.log) == 0 && d.onFirst != nil {
 		d.onFirst()
 	}
-	d.log = append(d.log, devAccess{Write: true, Off: off, Val: v, At: d.k.Clock.Now()})
-}
-
-// untimed is the log without its clock readings.
-func (d *recDev) untimed() []devAccess {
-	out := append([]devAccess(nil), d.log...)
-	for i := range out {
-		out[i].At = 0
-	}
-	return out
+	d.log = append(d.log, equiv.DevAccess{Write: true, Off: off, Val: v, At: d.k.Clock.Now()})
 }
 
 // TestMappingOverDeviceWindowRefused: a mapping may not be laid over a
@@ -97,16 +79,16 @@ func TestMappingOverDeviceWindowRefused(t *testing.T) {
 // between memory traffic, a fusable hot loop, a store that rewrites an
 // instruction it already ran, a sleep and a null syscall per pass — beside
 // a compute thread that outlives its time slices, so batches end at timer
-// deadlines, preemptions and syscalls. It returns the two threads' memory,
-// the device and the kernel.
-func runMMIOGuest(t *testing.T, cfg core.Config) ([]byte, *recDev, *core.Kernel) {
+// deadlines, preemptions and syscalls. The digest carries the two threads'
+// memory and the device's access log.
+func runMMIOGuest(t *testing.T, r *equiv.Run) *equiv.Digest {
 	t.Helper()
 	const (
 		areaA  = dataBase + 0x1000
 		areaB  = dataBase + 0x2000
 		passes = 10
 	)
-	e := newEnv(t, cfg)
+	e := newEnv(t, r.Config)
 	dev := &recDev{k: e.k}
 	if err := e.s.AS.MapIO(mmioVA, mem.PageSize, dev); err != nil {
 		t.Fatal(err)
@@ -133,7 +115,7 @@ func runMMIOGuest(t *testing.T, cfg core.Config) ([]byte, *recDev, *core.Kernel)
 		Halt()
 	b.Label("spin").Movi(6, 0).
 		Label("spin.pass").
-		Movi(1, 0).Movi(3, 3).Movi(0, 90_000).
+		Movi(1, 0).Movi(3, 3).Movi(0, 10_000).
 		Label("spin.hot").Add(1, 1, 3).Blt(1, 0, "spin.hot").
 		Movi(5, areaB).Movi(4, 2).Shl(4, 6, 4).Add(5, 5, 4).St(5, 0, 1).
 		SchedYield().
@@ -145,80 +127,23 @@ func runMMIOGuest(t *testing.T, cfg core.Config) ([]byte, *recDev, *core.Kernel)
 	drv := e.spawnAt(codeBase, 10)
 	spin := e.spawnAt(b.Addr("spin"), 10)
 	e.run(t, 4_000_000_000, drv, spin)
-	var out []byte
-	for _, area := range []uint32{areaA, areaB} {
-		m, err := e.k.ReadMem(e.s, area, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, m...)
-	}
 	if want := 4*passes + 1; len(dev.log) != want {
 		t.Fatalf("%d device accesses, want %d", len(dev.log), want)
 	}
-	return out, dev, e.k
+	d := equiv.Take(t, e.k)
+	d.Mem = []equiv.Range{equiv.Read(t, e.k, e.s, "area A", areaA, 64), equiv.Read(t, e.k, e.s, "area B", areaB, 64)}
+	d.Dev = dev.log
+	return d
 }
 
-// TestMMIOSpaceKernelEquivalence runs the driver-shaped guest through a
-// whole kernel under the five paper configurations, each with the default
-// tiers, with threaded code off and with all fast paths off. Within a
-// configuration memory, Stats, the final clock and the device's access log
-// must be bit-identical — including the clock reading at each access
-// between the two batching variants, which share batch boundaries — and
-// across configurations the guest-visible results must agree, as in
-// TestModelEquivalence.
+// TestMMIOSpaceKernelEquivalence runs the driver-shaped guest through the
+// harness. With threaded code off the device log matches to the clock
+// reading of each access (the tiers share batch boundaries); with the fast
+// paths off it matches untimed (equiv.Untimed). The default run decodes
+// code the guest then rewrites (StaleResets).
 func TestMMIOSpaceKernelEquivalence(t *testing.T) {
-	var firstMem []byte
-	var firstLog []devAccess
-	forEachConfig(t, func(t *testing.T, cfg core.Config) {
-		onMem, onDev, onK := runMMIOGuest(t, cfg)
-		if es := onK.ExecStats(); es.BlockHits == 0 || es.StaleResets == 0 {
-			t.Fatalf("exec stats %+v: the driver space did not run fused, self-invalidating code", es)
-		}
-		for _, v := range []struct {
-			name  string
-			apply func(*core.Config)
-			timed bool
-		}{
-			{"threaded code off", func(c *core.Config) { c.DisableThreadedCode = true }, true},
-			{"fast paths off", func(c *core.Config) { c.DisableFastPath = true }, false},
-		} {
-			off := cfg
-			v.apply(&off)
-			offMem, offDev, offK := runMMIOGuest(t, off)
-			if !bytes.Equal(onMem, offMem) {
-				t.Errorf("%s: guest memory differs", v.name)
-			}
-			if on, off := onK.Clock.Now(), offK.Clock.Now(); on != off {
-				t.Errorf("%s: virtual time differs: %d vs %d", v.name, on, off)
-			}
-			if !reflect.DeepEqual(onK.Stats(), offK.Stats()) {
-				t.Errorf("%s: Stats differ:\non:  %+v\noff: %+v", v.name, onK.Stats(), offK.Stats())
-			}
-			if !reflect.DeepEqual(onDev.untimed(), offDev.untimed()) {
-				t.Errorf("%s: device access log differs", v.name)
-			}
-			if v.timed && !reflect.DeepEqual(onDev.log, offDev.log) {
-				t.Errorf("%s: device accesses happened at different clock readings", v.name)
-			}
-		}
-		if firstMem == nil {
-			firstMem, firstLog = onMem, onDev.untimed()
-		}
-		if !bytes.Equal(onMem, firstMem) || !reflect.DeepEqual(onDev.untimed(), firstLog) {
-			t.Errorf("guest-visible results differ from %s", allConfigs()[0].Name())
-		}
-	})
-}
-
-// deviceBoundaryRun is what TestCopyWordsAtDeviceBoundary compares.
-type deviceBoundaryRun struct {
-	cliMem, loMem, hiMem []byte
-	log                  []devAccess
-	faults               [][2]uint32 // (VA, class|side<<8) of every fault, in order
-	stats                core.Stats
-	now                  uint64
-	loGen                uint64 // store generation of the page below the window after RPC 1's memory words
+	equiv.Check(t, equiv.Scenario{Flags: []equiv.Flag{equiv.FastPath, equiv.ThreadedCode, equiv.Profiler},
+		Fires: []string{"StaleResets"}, Run: runMMIOGuest})
 }
 
 // runDeviceBoundary drives three RPCs whose buffers cross between ordinary
@@ -234,7 +159,9 @@ type deviceBoundaryRun struct {
 //  3. three page-aligned pages land on the page below, the window itself
 //     and the page above, so the zero-copy path shares the outer two and
 //     demotes the middle one to 1024 register writes.
-func runDeviceBoundary(t *testing.T, cfg core.Config) deviceBoundaryRun {
+//
+// Every run checks what the device and the client must have seen.
+func runDeviceBoundary(t *testing.T, r *equiv.Run) *equiv.Digest {
 	t.Helper()
 	const (
 		pg     = mem.PageSize
@@ -246,9 +173,10 @@ func runDeviceBoundary(t *testing.T, cfg core.Config) deviceBoundaryRun {
 		reqBuf = dataBase + 0x4000 // page-aligned, 3 pages
 		repBuf = dataBase + 0x8000
 	)
-	k := core.New(cfg)
+	k := core.New(r.Config)
 	t.Cleanup(k.Shutdown)
 	k.Tracer = trace.NewRing(1 << 16)
+	k.EnableMetrics()
 	srv, cli := k.NewSpace(), k.NewSpace()
 	bindIPC(t, k, srv, cli)
 	dev := &recDev{k: k}
@@ -266,10 +194,10 @@ func runDeviceBoundary(t *testing.T, cfg core.Config) deviceBoundaryRun {
 		return r.R
 	}
 	lo := mapPage(srv, loHand, loVA, pg)
-	var out deviceBoundaryRun
-	dev.onFirst = func() { out.loGen = lo.FrameAt(0).Gen }
-	hi := mapPage(srv, hiHand, hiVA, pg)
-	cliData := mapPage(cli, kernelDataHandle(), dataBase, dataSize)
+	var loGen uint64 // the page below the window's store generation after RPC 1's memory words
+	dev.onFirst = func() { loGen = lo.FrameAt(0).Gen }
+	mapPage(srv, hiHand, hiVA, pg)
+	mapPage(cli, kernelDataHandle(), dataBase, dataSize)
 	req := make([]byte, 3*pg)
 	for i := range req {
 		req[i] = boundaryReqByte(i)
@@ -306,34 +234,70 @@ func runDeviceBoundary(t *testing.T, cfg core.Config) deviceBoundaryRun {
 	if !client.Exited {
 		t.Fatalf("client did not finish (pc=%#x state=%v)", client.Regs.PC, client.State)
 	}
-
-	out.log, out.stats, out.now = dev.untimed(), k.Stats(), k.Clock.Now()
-	pages := func(r *mmu.Region) []byte {
-		var b []byte
-		for _, f := range r.Frames() {
-			if f == nil {
-				b = append(b, make([]byte, pg)...)
-			} else {
-				b = append(b, f.Data...)
-			}
-		}
-		return b
-	}
-	out.cliMem, out.loMem, out.hiMem = pages(cliData), pages(lo), pages(hi)
-	for _, ev := range k.Tracer.Events() {
-		if ev.Kind == trace.Fault {
-			out.faults = append(out.faults, [2]uint32{ev.A, ev.B})
-		}
-	}
-	if k.Tracer.Dropped() != 0 {
-		t.Fatal("trace ring overflowed")
-	}
+	d := equiv.Take(t, k)
+	d.Dev = dev.log
+	d.Mem = []equiv.Range{equiv.Read(t, k, cli, "errnos", dataBase, 12), equiv.Read(t, k, cli, "replies", repBuf, 0x240),
+		equiv.Read(t, k, srv, "page below", loVA, pg), equiv.Read(t, k, srv, "page above", hiVA, pg)}
+	errnos, replies := d.Mem[0].Bytes, d.Mem[1].Bytes
 	for i := uint32(0); i < 3; i++ {
-		if got := sys.Errno(leWord(out.cliMem[4*i:])); got != sys.EOK {
+		if got := sys.Errno(leWord(errnos[4*i:])); got != sys.EOK {
 			t.Fatalf("RPC %d errno %v", i+1, got)
 		}
 	}
-	return out
+
+	// What the device must have seen, from the request bytes alone.
+	word := func(off uint32) uint32 { // request word at byte offset off of reqBuf
+		var b [4]byte
+		for j := range b {
+			b[j] = boundaryReqByte(int(off) + j)
+		}
+		return leWord(b[:])
+	}
+	var want []equiv.DevAccess
+	read := func(off uint32) {
+		want = append(want, equiv.DevAccess{Off: off, Val: uint32(len(want)+1)*0x9E3779B1 ^ off})
+	}
+	for i := uint32(0); i < 6; i++ { // RPC 1 request tail
+		want = append(want, equiv.DevAccess{Write: true, Off: 4 * i, Val: word(0x100 + 4*(300+i))})
+	}
+	for i := uint32(0); i < 5; i++ { // RPC 1 reply tail
+		read(4 * i)
+	}
+	for i := uint32(0); i < 3; i++ { // RPC 2 request head
+		want = append(want, equiv.DevAccess{Write: true, Off: pg - 12 + 4*i, Val: word(0x700 + 4*i)})
+	}
+	for i := uint32(0); i < 2; i++ { // RPC 2 reply head
+		read(pg - 8 + 4*i)
+	}
+	for i := uint32(0); i < pg/4; i++ { // RPC 3 middle page
+		want = append(want, equiv.DevAccess{Write: true, Off: 4 * i, Val: word(pg + 4*i)})
+	}
+	if diff := equiv.Diff(&equiv.Digest{Dev: want}, &equiv.Digest{Dev: d.Dev}, equiv.Memory); diff != "" {
+		t.Fatalf("device saw %d accesses, want %d: %s", len(d.Dev), len(want), diff)
+	}
+	// The client got memory words and register reads back, in order.
+	if got, want := leWord(replies[12:]), word(0x100+4*299); got != want {
+		t.Errorf("reply 1 word 3 = %#x, want the request's word 299 (%#x)", got, want)
+	}
+	if got, want := leWord(replies[16:]), want[6].Val; got != want {
+		t.Errorf("reply 1 word 4 = %#x, want the first register read (%#x)", got, want)
+	}
+	if got, want := leWord(replies[0x100+8:]), word(0x700+4*3); got != want {
+		t.Errorf("reply 2 word 2 = %#x, want the first memory word above the window (%#x)", got, want)
+	}
+	softAbove := false
+	for _, f := range d.Faults {
+		softAbove = softAbove || (f[0] == hiVA && mmu.FaultClass(f[1]&0xFF) == mmu.FaultSoft)
+	}
+	if !softAbove {
+		t.Errorf("no soft fault at the page above the window in %x: RPC 2 never restarted after its device words", d.Faults)
+	}
+	// Page windows bump the store generation once per run, the word loop
+	// once per word: the page below the window took 300 words of RPC 1.
+	if fast := !r.Config.DisableFastPath; fast != (loGen < 300) {
+		t.Errorf("page below the window: %d store generations with fast paths %v; want a few with, at least 300 without", loGen, fast)
+	}
+	return d
 }
 
 // boundaryReqByte is byte i of the client's request buffer.
@@ -345,96 +309,9 @@ func leWord(b []byte) uint32 {
 
 // TestCopyWordsAtDeviceBoundary: IPC transfers whose buffers run from an
 // ordinary page into a register window, out of one, and across one. Every
-// device word goes through the handler exactly once, in order; the ordinary
-// part moves through page windows; and memory on both sides, every fault's
-// VA and class, Stats (restart causes, charged cycles) and the clock match
-// a run with the fast paths off.
+// device word goes through the handler exactly once, in order, and the
+// ordinary part moves through page windows, with and without the paths
+// the transfers take (the guest code itself is straight-line syscalls).
 func TestCopyWordsAtDeviceBoundary(t *testing.T) {
-	const pg = mem.PageSize
-	forEachConfig(t, func(t *testing.T, cfg core.Config) {
-		on := runDeviceBoundary(t, cfg)
-		offCfg := cfg
-		offCfg.DisableFastPath = true
-		off := runDeviceBoundary(t, offCfg)
-
-		// What the device must have seen, from the request bytes alone.
-		word := func(off uint32) uint32 { // request word at byte offset off of reqBuf
-			var b [4]byte
-			for j := range b {
-				b[j] = boundaryReqByte(int(off) + j)
-			}
-			return leWord(b[:])
-		}
-		var want []devAccess
-		read := func(off uint32) {
-			want = append(want, devAccess{Off: off, Val: uint32(len(want)+1)*0x9E3779B1 ^ off})
-		}
-		for i := uint32(0); i < 6; i++ { // RPC 1 request tail
-			want = append(want, devAccess{Write: true, Off: 4 * i, Val: word(0x100 + 4*(300+i))})
-		}
-		for i := uint32(0); i < 5; i++ { // RPC 1 reply tail
-			read(4 * i)
-		}
-		for i := uint32(0); i < 3; i++ { // RPC 2 request head
-			want = append(want, devAccess{Write: true, Off: pg - 12 + 4*i, Val: word(0x700 + 4*i)})
-		}
-		for i := uint32(0); i < 2; i++ { // RPC 2 reply head
-			read(pg - 8 + 4*i)
-		}
-		for i := uint32(0); i < pg/4; i++ { // RPC 3 middle page
-			want = append(want, devAccess{Write: true, Off: 4 * i, Val: word(pg + 4*i)})
-		}
-		if !reflect.DeepEqual(on.log, want) {
-			t.Fatalf("device saw %d accesses, want %d; first difference at %s", len(on.log), len(want), firstDiff(on.log, want))
-		}
-		// The client got memory words and register reads back, in order.
-		const repOff = 0x8000
-		if got, want := leWord(on.cliMem[repOff+12:]), word(0x100+4*299); got != want {
-			t.Errorf("reply 1 word 3 = %#x, want the request's word 299 (%#x)", got, want)
-		}
-		if got, want := leWord(on.cliMem[repOff+16:]), want[6].Val; got != want {
-			t.Errorf("reply 1 word 4 = %#x, want the first register read (%#x)", got, want)
-		}
-		if got, want := leWord(on.cliMem[repOff+0x100+8:]), word(0x700+4*3); got != want {
-			t.Errorf("reply 2 word 2 = %#x, want the first memory word above the window (%#x)", got, want)
-		}
-
-		if !reflect.DeepEqual(on.log, off.log) {
-			t.Errorf("device log differs with fast paths off; first difference at %s", firstDiff(on.log, off.log))
-		}
-		if !bytes.Equal(on.cliMem, off.cliMem) || !bytes.Equal(on.loMem, off.loMem) || !bytes.Equal(on.hiMem, off.hiMem) {
-			t.Error("memory differs with fast paths off")
-		}
-		if !reflect.DeepEqual(on.faults, off.faults) {
-			t.Errorf("fault sequence differs with fast paths off:\non:  %x\noff: %x", on.faults, off.faults)
-		}
-		if !reflect.DeepEqual(on.stats, off.stats) {
-			t.Errorf("Stats differ with fast paths off:\non:  %+v\noff: %+v", on.stats, off.stats)
-		}
-		if on.now != off.now {
-			t.Errorf("virtual time differs with fast paths off: %d vs %d", on.now, off.now)
-		}
-		softAbove := false
-		for _, f := range on.faults {
-			softAbove = softAbove || (f[0] == mmioVA+pg && mmu.FaultClass(f[1]&0xFF) == mmu.FaultSoft)
-		}
-		if !softAbove {
-			t.Errorf("no soft fault at the page above the window in %x: RPC 2 never restarted after its device words", on.faults)
-		}
-		// Page windows bump the store generation once per run, the word
-		// loop once per word: the page below the window took 300 words of
-		// RPC 1 through windows.
-		if on.loGen >= 300 || off.loGen < 300 {
-			t.Errorf("page below the window: %d store generations with fast paths, %d without; want a few and at least 300", on.loGen, off.loGen)
-		}
-	})
-}
-
-func firstDiff(a, b []devAccess) string {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return fmt.Sprintf("%d: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-	return fmt.Sprintf("%d: lengths %d vs %d", min(len(a), len(b)), len(a), len(b))
+	equiv.Check(t, equiv.Scenario{Flags: []equiv.Flag{equiv.FastPath, equiv.IPCFastPath, equiv.ZeroCopy}, Run: runDeviceBoundary})
 }

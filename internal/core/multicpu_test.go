@@ -1,16 +1,14 @@
 package core_test
 
-// Multiprocessor-layer tests: the NumCPUs==1 bit-exactness contract (both
-// lock models degenerate to the uniprocessor kernel), run-to-run
-// determinism of the serial interleaver at 2 and 4 CPUs, the scheduler
+// Multiprocessor-layer tests: work conservation, the scheduler
 // state-access routing rule, and the ParallelHost mode (whose whole test
-// value is under `go test -race`).
+// value is under `go test -race`). The NumCPUs==1 bit-exactness of both
+// lock models and run-to-run determinism are steps of the equivalence
+// harness (internal/equiv).
 
 import (
-	"bytes"
 	"fmt"
 	"os"
-	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -26,93 +24,6 @@ import (
 
 // lockModels spans the pluggable locking models.
 var lockModels = []core.LockModel{core.LockBig, core.LockFine}
-
-// TestUniprocessorLockModelsBitIdentical pins the acceptance criterion
-// that one simulated CPU under either lock model is bit-identical — final
-// observable memory, merged Stats, and virtual clock — to the implicit
-// uniprocessor kernel, across all five paper configurations.
-func TestUniprocessorLockModelsBitIdentical(t *testing.T) {
-	seeds := []int64{1, 42}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	forEachConfig(t, func(t *testing.T, cfg core.Config) {
-		for _, seed := range seeds {
-			baseMem, baseK := runSeed(t, cfg, seed)
-			for _, lm := range lockModels {
-				v := cfg
-				v.NumCPUs = 1
-				v.LockModel = lm
-				mem2, k2 := runSeed(t, v, seed)
-				if !bytes.Equal(baseMem, mem2) {
-					t.Fatalf("seed %d lockmodel %v: observable memory differs from baseline", seed, lm)
-				}
-				if baseK.Clock.Now() != k2.Clock.Now() {
-					t.Fatalf("seed %d lockmodel %v: virtual time differs: base=%d got=%d",
-						seed, lm, baseK.Clock.Now(), k2.Clock.Now())
-				}
-				if !reflect.DeepEqual(baseK.Stats(), k2.Stats()) {
-					t.Fatalf("seed %d lockmodel %v: Stats differ:\nbase: %+v\ngot:  %+v",
-						seed, lm, baseK.Stats(), k2.Stats())
-				}
-			}
-		}
-	})
-}
-
-// TestMultiCPUDeterministic pins run-to-run reproducibility of the serial
-// interleaver: the same seed on the same (NumCPUs, LockModel) pair must
-// give identical memory, Stats, and virtual-time frontier every run.
-func TestMultiCPUDeterministic(t *testing.T) {
-	cfgs := allConfigs()
-	if testing.Short() {
-		cfgs = cfgs[:2]
-	}
-	for _, cfg := range cfgs {
-		cfg := cfg
-		t.Run(cfg.Name(), func(t *testing.T) {
-			type cell struct {
-				n  int
-				lm core.LockModel
-			}
-			var cells []cell
-			for _, n := range []int{2, 4} {
-				for _, lm := range lockModels {
-					cells = append(cells, cell{n, lm})
-				}
-			}
-			// The high CPU counts exercise the clock heap and the
-			// per-instance lock table at scale; fine is the model whose
-			// slot fan-out could plausibly perturb the interleaving.
-			if !testing.Short() {
-				for _, n := range []int{8, 16, 64} {
-					cells = append(cells, cell{n, core.LockFine})
-				}
-			}
-			for _, cl := range cells {
-				n, lm := cl.n, cl.lm
-				{
-					v := cfg
-					v.NumCPUs = n
-					v.LockModel = lm
-					m1, k1 := runSeed(t, v, 1999)
-					m2, k2 := runSeed(t, v, 1999)
-					if !bytes.Equal(m1, m2) {
-						t.Fatalf("cpus=%d lockmodel=%v: memory differs run-to-run", n, lm)
-					}
-					if k1.Now() != k2.Now() {
-						t.Fatalf("cpus=%d lockmodel=%v: frontier differs: %d vs %d",
-							n, lm, k1.Now(), k2.Now())
-					}
-					if !reflect.DeepEqual(k1.Stats(), k2.Stats()) {
-						t.Fatalf("cpus=%d lockmodel=%v: Stats differ run-to-run:\n1: %+v\n2: %+v",
-							n, lm, k1.Stats(), k2.Stats())
-					}
-				}
-			}
-		})
-	}
-}
 
 // TestMultiCPUWorkConserving: at 4 CPUs with independent compute threads,
 // more than one CPU must end up doing user work (the work-stealing path),

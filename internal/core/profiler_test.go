@@ -6,126 +6,20 @@ package core_test
 // fed by mirroring the exact cycle counts at the seven Stats charge sites,
 // so the attributed total must equal Stats.TotalCycles to the cycle — any
 // charge site that forgets the mirror (or mirrors a different amount)
-// breaks the equality. And because the profiler only reads the timeline,
-// enabling it must leave user memory, Stats, and the virtual clock
-// bit-identical.
+// breaks the equality. The equivalence harness checks it on every
+// profiled run (equiv.Take), and checks that enabling the profiler leaves
+// every other digest field bit-identical (equiv.Profiler).
 
 import (
 	"bytes"
-	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/equiv"
 	"repro/internal/profile"
 	"repro/internal/prog"
 	"repro/internal/trace"
 )
-
-// TestProfilerEquivalence pins the observability tentpole invariant
-// across all five paper configurations × NumCPUs {1,2,4} × both lock
-// models: with the profiler and IPC spans enabled, observable memory,
-// Stats, and the virtual-time frontier are bit-identical to the disabled
-// run, and every attributed cycle sums exactly to Stats.TotalCycles.
-// A third run per seed profiles with the threaded-code tier disabled:
-// fused blocks must charge cycles to exactly the same
-// (path × syscall × guest-PC) keys as single-step execution, so the
-// folded profiles must be byte-identical.
-func TestProfilerEquivalence(t *testing.T) {
-	seeds := []int64{1, 42}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, base := range core.Configurations() {
-		for _, ncpu := range []int{1, 2, 4} {
-			for _, lm := range lockModels {
-				cfg := base
-				cfg.NumCPUs = ncpu
-				cfg.LockModel = lm
-				t.Run(fmt.Sprintf("%s/cpus=%d/%s", base.Name(), ncpu, lm), func(t *testing.T) {
-					for _, seed := range seeds {
-						offMem, offK := runSeed(t, cfg, seed)
-						on := cfg
-						on.EnableProfiler = true
-						on.EnableIPCSpans = true
-						onMem, onK := runSeed(t, on, seed)
-						if !bytes.Equal(onMem, offMem) {
-							t.Fatalf("seed %d: observable memory differs with profiler on vs off", seed)
-						}
-						if onK.Now() != offK.Now() {
-							t.Fatalf("seed %d: virtual time differs: on=%d off=%d",
-								seed, onK.Now(), offK.Now())
-						}
-						if !reflect.DeepEqual(onK.Stats(), offK.Stats()) {
-							t.Fatalf("seed %d: Stats differ with profiler on vs off:\non:  %+v\noff: %+v",
-								seed, onK.Stats(), offK.Stats())
-						}
-						// Double-entry accounting: attributed == charged, exactly.
-						snap := onK.ProfileSnapshot()
-						if got, want := snap.TotalCycles(), onK.Stats().TotalCycles(); got != want {
-							t.Fatalf("seed %d: attributed cycles %d != Stats.TotalCycles %d (drift %d)",
-								seed, got, want, int64(want)-int64(got))
-						}
-						if snap.TotalCycles() == 0 {
-							t.Fatalf("seed %d: profiler attributed nothing; test is vacuous", seed)
-						}
-						if offK.ProfileEnabled() {
-							t.Fatalf("seed %d: disabled run grew a profiler", seed)
-						}
-						// Threaded code on vs off: identical attribution.
-						noTC := on
-						noTC.DisableThreadedCode = true
-						_, noTCK := runSeed(t, noTC, seed)
-						var tcF, noTCF bytes.Buffer
-						if err := snap.WriteFolded(&tcF); err != nil {
-							t.Fatal(err)
-						}
-						if err := noTCK.ProfileSnapshot().WriteFolded(&noTCF); err != nil {
-							t.Fatal(err)
-						}
-						if !bytes.Equal(tcF.Bytes(), noTCF.Bytes()) {
-							t.Fatalf("seed %d: profile attribution differs with threaded code on vs off:\non:\n%s\noff:\n%s",
-								seed, tcF.Bytes(), noTCF.Bytes())
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestProfilerDeterministicPerSeed: the same seed and configuration must
-// produce byte-identical folded stacks and pprof output on every run —
-// the profile is a pure function of the simulated timeline.
-func TestProfilerDeterministicPerSeed(t *testing.T) {
-	cfg := core.Configurations()[0]
-	cfg.EnableProfiler = true
-	var folded, pb []byte
-	for i := 0; i < 2; i++ {
-		_, k := runSeed(t, cfg, 42)
-		snap := k.ProfileSnapshot()
-		var fb, pbuf bytes.Buffer
-		if err := snap.WriteFolded(&fb); err != nil {
-			t.Fatal(err)
-		}
-		if err := snap.WritePprof(&pbuf); err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			folded, pb = fb.Bytes(), pbuf.Bytes()
-			if len(folded) == 0 {
-				t.Fatal("empty folded output")
-			}
-			continue
-		}
-		if !bytes.Equal(fb.Bytes(), folded) {
-			t.Fatal("folded output differs between identical runs")
-		}
-		if !bytes.Equal(pbuf.Bytes(), pb) {
-			t.Fatal("pprof output differs between identical runs")
-		}
-	}
-}
 
 // TestProfilerAttributesIPCPaths: a syscall-heavy echo workload must show
 // up in the profile — samples tagged with ipc_* syscalls, the IPC copy
@@ -138,8 +32,7 @@ func TestProfilerAttributesIPCPaths(t *testing.T) {
 	// per-word charge, leaving nothing for PathIPCCopy to attribute; turn
 	// it off so the copy loop pays (and the profiler sees) CycCopyWord.
 	cfg.DisableIPCFastPath = true
-	_, k := runSeed(t, cfg, 7)
-	snap := k.ProfileSnapshot()
+	snap := runSeed(t, &equiv.Run{Config: cfg}, 7).Profile
 	var sawIPCSys, sawCopy, sawEntry bool
 	for _, s := range snap.Samples {
 		if len(s.SysName()) > 4 && s.SysName()[:4] == "ipc_" {

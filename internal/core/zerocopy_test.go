@@ -5,17 +5,15 @@ package core_test
 // virtual time (that is the optimisation), but nothing a user program can
 // observe may differ with the path on vs off — final memory on both sides
 // of the transfer (after COW breaks from both the receiver and the
-// sender) and the Table 3 restart-cause counts — across all five paper
-// configurations × NumCPUs {1,2,4} × both lock models, including a run
-// whose receive region is pager-backed and unpopulated so a hard fault
-// fires at every page boundary of the shared transfer.
+// sender) and the Table 3 restart-cause counts (equiv.ZeroCopy) — in
+// every cell of the harness matrix, including a run whose receive region
+// is pager-backed and unpopulated so a hard fault fires at every page
+// boundary of the shared transfer.
 
 import (
-	"bytes"
-	"fmt"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/equiv"
 	"repro/internal/mem"
 	"repro/internal/mmu"
 	"repro/internal/obj"
@@ -30,24 +28,15 @@ const (
 	zcRBase = 0x0200_0000 // server's page-aligned receive window
 )
 
-type zcResult struct {
-	memory   []byte // both buffers after all COW breaks settled
-	restarts [4]uint64
-	faults   map[core.FaultKey]uint64 // COW-class entries removed
-	hard     uint64
-	shares   uint64
-	breaks   uint64
-}
-
 // runZeroCopyBulk runs one 4-page RPC: the client fills the first two
 // pages of its send buffer (the rest stays demand-zero and is first
 // touched by the transfer itself), sends all four pages, and — after the
 // reply — stores into shared pages 1 and 3; the server stores
 // into received pages 0 and 2 before replying. With pagerBacked the
 // receive region starts empty and faults to a pager at every page.
-func runZeroCopyBulk(t *testing.T, cfg core.Config, pagerBacked bool) zcResult {
+func runZeroCopyBulk(t *testing.T, r *equiv.Run, pagerBacked bool) *equiv.Digest {
 	t.Helper()
-	e := newEnv(t, cfg)
+	e := newEnv(t, r.Config)
 	e.k.EnableMetrics()
 	bindIPC(t, e.k, e.s, e.s)
 
@@ -135,46 +124,34 @@ func runZeroCopyBulk(t *testing.T, cfg core.Config, pagerBacked bool) zcResult {
 	client := e.spawn(t, cli, 10)
 	e.run(t, 4_000_000_000, client)
 
-	var res zcResult
-	for _, base := range []uint32{zcSBase, zcRBase} {
-		m, err := e.k.ReadMem(e.s, base, zcPages*mem.PageSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.memory = append(res.memory, m...)
+	d := equiv.Take(t, e.k)
+	d.Mem = []equiv.Range{
+		equiv.Read(t, e.k, e.s, "send buffer", zcSBase, zcPages*mem.PageSize),
+		equiv.Read(t, e.k, e.s, "receive buffer", zcRBase, zcPages*mem.PageSize),
+		equiv.Read(t, e.k, e.s, "reply", ackBuf, 4),
 	}
-	ack, err := e.k.ReadMem(e.s, ackBuf, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.memory = append(res.memory, ack...)
-
-	st := e.k.Stats()
-	res.restarts = e.k.Metrics.RestartsByCause()
-	res.faults = map[core.FaultKey]uint64{}
-	for key, n := range st.FaultCount {
-		if key.Class == mmu.FaultCOW {
-			continue // the COW class exists only with the path on
-		}
-		res.faults[key] = n
+	zcSanity(t, d)
+	hard := uint64(0)
+	for key, n := range d.Stats.FaultCount {
 		if key.Class == mmu.FaultHard {
-			res.hard += n
+			hard += n
 		}
 	}
-	res.shares = st.ZeroCopyShares
-	res.breaks = st.ZeroCopyCOWBreaks
-	return res
+	if pagerBacked && hard < zcPages {
+		t.Fatalf("pager-backed run took %d hard faults, want one per page (%d)", hard, zcPages)
+	}
+	return d
 }
 
 // zcSanity pins absolute contents so a bug shared by both paths cannot
 // hide in the on-vs-off comparison.
-func zcSanity(t *testing.T, r zcResult, tag string) {
+func zcSanity(t *testing.T, d *equiv.Digest) {
 	t.Helper()
-	word := func(off int) uint32 {
-		b := r.memory[off : off+4]
-		return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+	var memory []byte // send buffer, receive buffer, reply
+	for _, r := range d.Mem {
+		memory = append(memory, r.Bytes...)
 	}
-	const rOff = zcPages * mem.PageSize // receive buffer's offset in res.memory
+	const rOff = zcPages * mem.PageSize // receive buffer's offset in memory
 	checks := []struct {
 		off  int
 		want uint32
@@ -191,72 +168,21 @@ func zcSanity(t *testing.T, r zcResult, tag string) {
 		{2 * zcPages * mem.PageSize, zcSBase + 4, "reply delivered"},
 	}
 	for _, c := range checks {
-		if got := word(c.off); got != c.want {
-			t.Fatalf("%s: %s: word at %#x = %#x, want %#x", tag, c.what, c.off, got, c.want)
+		if got := leWord(memory[c.off:]); got != c.want {
+			t.Fatalf("%s: word at %#x = %#x, want %#x", c.what, c.off, got, c.want)
 		}
 	}
 }
 
-func TestZeroCopyEquivalence(t *testing.T) {
-	totalShares := uint64(0)
-	for _, base := range core.Configurations() {
-		for _, ncpu := range []int{1, 2, 4} {
-			for _, lm := range lockModels {
-				cfg := base
-				cfg.NumCPUs = ncpu
-				cfg.LockModel = lm
-				t.Run(fmt.Sprintf("%s/cpus=%d/%s", base.Name(), ncpu, lm), func(t *testing.T) {
-					for _, pager := range []bool{false, true} {
-						tag := "demand-zero"
-						if pager {
-							tag = "pager-backed"
-						}
-						on := runZeroCopyBulk(t, cfg, pager)
-						off := cfg
-						off.DisableZeroCopy = true
-						offR := runZeroCopyBulk(t, off, pager)
+// zcFlags are the paths the bulk RPC takes.
+var zcFlags = []equiv.Flag{equiv.FastPath, equiv.ThreadedCode, equiv.IPCFastPath, equiv.ZeroCopy}
 
-						zcSanity(t, on, tag+"/on")
-						zcSanity(t, offR, tag+"/off")
-						if !bytes.Equal(on.memory, offR.memory) {
-							t.Fatalf("%s: observable memory differs with zero-copy on vs off", tag)
-						}
-						if on.restarts != offR.restarts {
-							t.Fatalf("%s: Table 3 restart causes differ: on=%v off=%v",
-								tag, on.restarts, offR.restarts)
-						}
-						for key, want := range offR.faults {
-							if got := on.faults[key]; got != want {
-								t.Fatalf("%s: fault count %v differs: on=%d off=%d",
-									tag, key, got, want)
-							}
-						}
-						for key := range on.faults {
-							if _, ok := offR.faults[key]; !ok {
-								t.Fatalf("%s: fault class %v only with zero-copy on", tag, key)
-							}
-						}
-						if on.shares == 0 {
-							t.Fatalf("%s: no pages were shared; the comparison is vacuous", tag)
-						}
-						if on.breaks == 0 {
-							t.Fatalf("%s: no COW break fired; the comparison is vacuous", tag)
-						}
-						if offR.shares != 0 || offR.breaks != 0 {
-							t.Fatalf("%s: disabled run shared %d pages, broke %d",
-								tag, offR.shares, offR.breaks)
-						}
-						if pager && on.hard < zcPages {
-							t.Fatalf("pager-backed run took %d hard faults, want one per page (%d)",
-								on.hard, zcPages)
-						}
-						totalShares += on.shares
-					}
-				})
-			}
-		}
-	}
-	if totalShares == 0 {
-		t.Fatal("no share fired anywhere in the matrix; the test is vacuous")
-	}
+func TestZeroCopyEquivalence(t *testing.T) {
+	equiv.Check(t, equiv.Scenario{Flags: zcFlags, Fires: []string{"ZeroCopyShares", "ZeroCopyCOWBreaks"},
+		Run: func(t *testing.T, r *equiv.Run) *equiv.Digest { return runZeroCopyBulk(t, r, false) }})
+}
+
+func TestZeroCopyPagerEquivalence(t *testing.T) {
+	equiv.Check(t, equiv.Scenario{Flags: zcFlags, Fires: []string{"ZeroCopyShares", "ZeroCopyCOWBreaks"},
+		Run: func(t *testing.T, r *equiv.Run) *equiv.Digest { return runZeroCopyBulk(t, r, true) }})
 }

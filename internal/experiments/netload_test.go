@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/equiv"
 )
 
 // TestNetloadSmoke drives the CI-smoke scale end to end in every mode
@@ -89,56 +91,44 @@ func TestNetloadSpeedup(t *testing.T) {
 	}
 }
 
-// TestNICCoalesceEquivalence pins the optimization's safety: interrupt
-// coalescing may change timing, but everything a client can observe in
-// memory — response payloads, stamp checks — must be bit-identical with
-// it on and off, across the paper's kernel configurations and across
-// CPU counts and lock models. Same-config runs must also be fully
-// deterministic: samples, virtual clock, and kernel stats identical
-// run to run.
+// TestNICCoalesceEquivalence runs the fleet through the equivalence
+// harness. runNetloadCell builds its kernel itself, so the digest is what a
+// cell reports: client-visible memory (payloads and stamp-error counts) as
+// a hash, and — compared only by the identical classes — a hash of every
+// latency sample, the clock and Stats.
 func TestNICCoalesceEquivalence(t *testing.T) {
 	sc := FastNetloadScale()
-
-	check := func(name string, base core.Config, cpus int, lm core.LockModel) {
-		off1, err := runNetloadCell(NetloadNoCoalesce, cpus, lm, base, sc, false)
-		if err != nil {
-			t.Fatalf("%s off#1: %v", name, err)
-		}
-		off2, err := runNetloadCell(NetloadNoCoalesce, cpus, lm, base, sc, false)
-		if err != nil {
-			t.Fatalf("%s off#2: %v", name, err)
-		}
-		on, err := runNetloadCell(NetloadTuned, cpus, lm, base, sc, false)
-		if err != nil {
-			t.Fatalf("%s on: %v", name, err)
-		}
-		if off1.FullDigest != off2.FullDigest {
-			t.Errorf("%s: coalescing-off runs diverge (full digest %#x vs %#x) — determinism broken",
-				name, off1.FullDigest, off2.FullDigest)
-		}
-		if off1.PayloadDigest != on.PayloadDigest {
-			t.Errorf("%s: client-visible memory differs with coalescing on vs off (%#x vs %#x)",
-				name, on.PayloadDigest, off1.PayloadDigest)
-		}
-		for _, c := range []*netloadCell{off1, on} {
-			if c.Res.Errors != 0 {
-				t.Errorf("%s: %d payload stamp errors (mode=%s)", name, c.Res.Errors, c.Res.Mode)
+	modes := map[[2]bool]string{
+		{false, false}: NetloadTuned, {true, false}: NetloadNoCoalesce,
+		{false, true}: NetloadNoZeroCopy, {true, true}: NetloadNaive,
+	}
+	// A NIC register write times the work it kicks from the clock its
+	// handler reads: mid-batch, that is the batch's start with the fast
+	// paths on and the instruction's own cycle with them off. So here the
+	// fast paths move virtual time, and only what the guest sees must hold.
+	fastPath := equiv.FastPath
+	fastPath.Class = equiv.Guest
+	equiv.Check(t, equiv.Scenario{
+		Flags: []equiv.Flag{equiv.NICCoalesce, equiv.ZeroCopy, equiv.IPCFastPath, fastPath, equiv.ThreadedCode},
+		Run: func(t *testing.T, r *equiv.Run) *equiv.Digest {
+			cfg := r.Config
+			mode := modes[[2]bool{cfg.DisableNICCoalesce, cfg.DisableZeroCopy}]
+			cell, err := runNetloadCell(mode, cfg.NumCPUs, cfg.LockModel, cfg, sc, false)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-
-	// The paper's five kernel configurations, uniprocessor.
-	for _, cfg := range core.Configurations() {
-		name := cfg.Model.String() + "/" + cfg.Preempt.String()
-		check(name, cfg, 1, core.LockBig)
-	}
-	// CPU counts x lock models on the interrupt/PP base.
-	for _, cpus := range []int{1, 2} {
-		for _, lm := range LockModels {
-			name := "interrupt/pp/" + lm.String()
-			check(name, netloadBaseConfig(), cpus, lm)
-		}
-	}
+			if cell.Res.Errors != 0 {
+				t.Fatalf("%d payload stamp errors", cell.Res.Errors)
+			}
+			return &equiv.Digest{
+				Mem: []equiv.Range{
+					{Name: "client payload hash", Bytes: binary.LittleEndian.AppendUint64(nil, cell.PayloadDigest)},
+					{Name: "samples, clock and Stats hash", Bytes: binary.LittleEndian.AppendUint64(nil, cell.FullDigest), Timing: true},
+				},
+				Counters: map[string]uint64{"Coalesced": cell.Res.NIC.Coalesced, "ZeroCopyShares": cell.Res.ZeroCopyShares},
+			}
+		},
+	})
 }
 
 // TestNetloadParallelHost runs the tuned cell under real host

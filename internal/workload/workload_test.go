@@ -1,9 +1,12 @@
 package workload_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/equiv"
+	"repro/internal/mem"
 	"repro/internal/mmu"
 	"repro/internal/obj"
 	"repro/internal/workload"
@@ -160,33 +163,30 @@ func TestProbeFullPreemptionBoundsLatency(t *testing.T) {
 	}
 }
 
+// TestModelEquivalenceOnWorkloads runs the gcc pipeline through the
+// equivalence harness; the digest carries every stage's data window. Its
+// stages talk by oneway sends, which the IPC fast path never hands off.
 func TestModelEquivalenceOnWorkloads(t *testing.T) {
-	// User-visible outcomes must match across configurations; compare
-	// syscall counts by the completing threads' exit states.
-	type outcome struct{ exits int }
-	res := map[string]outcome{}
-	for _, cfg := range core.Configurations() {
-		k := core.New(cfg)
-		w, err := workload.NewGCC(k, workload.SmallGCCScale())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.Run(testBudget); err != nil {
-			t.Fatal(err)
-		}
-		n := 0
-		for _, th := range w.Done {
-			if th.Exited {
-				n++
+	equiv.Check(t, equiv.Scenario{
+		Flags: []equiv.Flag{equiv.FastPath, equiv.ThreadedCode, equiv.Profiler},
+		Fires: []string{"LoopPasses"},
+		Run: func(t *testing.T, r *equiv.Run) *equiv.Digest {
+			k := core.New(r.Config)
+			k.EnableMetrics()
+			w, err := workload.NewGCC(k, workload.SmallGCCScale())
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		res[cfg.Name()] = outcome{exits: n}
-	}
-	for name, o := range res {
-		if o != res["Process NP"] {
-			t.Errorf("%s outcome %+v != Process NP %+v", name, o, res["Process NP"])
-		}
-	}
+			if _, err := w.Run(testBudget); err != nil {
+				t.Fatal(err)
+			}
+			d := equiv.Take(t, k)
+			for i, th := range w.Done {
+				d.Mem = append(d.Mem, equiv.Read(t, k, th.Space, fmt.Sprintf("stage %d data", i), 0x0004_0000, 16*mem.PageSize))
+			}
+			return d
+		},
+	})
 }
 
 var _ = obj.ThReady

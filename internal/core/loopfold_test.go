@@ -24,10 +24,11 @@ import (
 )
 
 // loopScenario is a counted-loop program under the interpreter variants
-// and the profiler; its default run must fold at least one loop pass.
-func loopScenario(run func(t *testing.T, r *equiv.Run) *equiv.Digest) equiv.Scenario {
+// and the profiler; its default run must fold at least one loop pass and
+// move every counter in fires.
+func loopScenario(run func(t *testing.T, r *equiv.Run) *equiv.Digest, fires ...string) equiv.Scenario {
 	return equiv.Scenario{Flags: []equiv.Flag{equiv.FastPath, equiv.ThreadedCode, equiv.Profiler},
-		Fires: []string{"LoopPasses"}, Run: run}
+		Fires: append([]string{"LoopPasses"}, fires...), Run: run}
 }
 
 // sweepLoop emits a counted byte loop over [from, to): read a byte, store
@@ -170,8 +171,10 @@ func TestCountedLoopCOW(t *testing.T) {
 // TestCountedLoopMemtestRestarts: memtest's byte sweep takes its hard fault
 // at the first byte of every page, inside a folded loop, and the fault
 // sequence, the restart counts (interrupt model), the rest of Stats and
-// the clock are those of the per-instruction interpreter. The folded
-// passes are exported as the cpu.blocks.loop_passes gauge.
+// the clock are those of the per-instruction interpreter. The sweep is
+// pass-idempotent, so most of each page's passes are fast-forwarded; the
+// folded and the skipped passes are exported as the cpu.blocks.loop_passes
+// and cpu.blocks.loop_skipped gauges.
 func TestCountedLoopMemtestRestarts(t *testing.T) {
 	const pages = 8
 	equiv.Check(t, loopScenario(func(t *testing.T, r *equiv.Run) *equiv.Digest {
@@ -187,8 +190,12 @@ func TestCountedLoopMemtestRestarts(t *testing.T) {
 			t.Fatal(err)
 		}
 		k.SyncTraceMetrics()
-		if got, want := k.Metrics.LoopPasses.Value(), k.ExecStats().LoopPasses; got != int64(want) {
+		es := k.ExecStats()
+		if got, want := k.Metrics.LoopPasses.Value(), es.LoopPasses; got != int64(want) {
 			t.Fatalf("cpu.blocks.loop_passes = %d, ExecStats says %d", got, want)
+		}
+		if got, want := k.Metrics.LoopSkips.Value(), es.LoopSkips; got != int64(want) {
+			t.Fatalf("cpu.blocks.loop_skipped = %d, ExecStats says %d", got, want)
 		}
 		d := equiv.Take(t, k)
 		if n := d.Stats.FaultCount[core.FaultKey{Class: mmu.FaultHard, Side: core.FaultSame}]; n != pages {
@@ -207,5 +214,5 @@ func TestCountedLoopMemtestRestarts(t *testing.T) {
 			t.Fatalf("%d hard faults, want %d", hard, pages)
 		}
 		return d
-	}))
+	}, "LoopSkips"))
 }

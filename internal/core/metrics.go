@@ -139,6 +139,7 @@ type KernelMetrics struct {
 	BlocksBuilt        *metrics.Gauge // cpu.blocks.built
 	BlockHits          *metrics.Gauge // cpu.blocks.hits
 	LoopPasses         *metrics.Gauge // cpu.blocks.loop_passes (of the hits)
+	LoopSkips          *metrics.Gauge // cpu.blocks.loop_skipped (of the loop passes)
 	BlockBails         *metrics.Gauge // cpu.blocks.bails
 	BlockInvalidations *metrics.Gauge // cpu.blocks.invalidations
 }
@@ -198,6 +199,7 @@ func NewKernelMetrics(reg *metrics.Registry) *KernelMetrics {
 	m.BlocksBuilt = reg.Gauge("cpu.blocks.built")
 	m.BlockHits = reg.Gauge("cpu.blocks.hits")
 	m.LoopPasses = reg.Gauge("cpu.blocks.loop_passes")
+	m.LoopSkips = reg.Gauge("cpu.blocks.loop_skipped")
 	m.BlockBails = reg.Gauge("cpu.blocks.bails")
 	m.BlockInvalidations = reg.Gauge("cpu.blocks.invalidations")
 	return m
@@ -220,6 +222,7 @@ func (k *Kernel) SyncTraceMetrics() {
 	k.Metrics.BlocksBuilt.Set(int64(es.BlocksBuilt))
 	k.Metrics.BlockHits.Set(int64(es.BlockHits))
 	k.Metrics.LoopPasses.Set(int64(es.LoopPasses))
+	k.Metrics.LoopSkips.Set(int64(es.LoopSkips))
 	k.Metrics.BlockBails.Set(int64(es.BlockBails))
 	k.Metrics.BlockInvalidations.Set(int64(es.BlockInvalidations))
 }

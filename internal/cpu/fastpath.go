@@ -160,7 +160,7 @@ func StepN(r *Regs, m DecodedSource, maxCycles uint64) (uint64, uint64, Trap) {
 					if tlb.Slots == nil {
 						tlb = m.TLB()
 					}
-					cyc, ret, hits, next, out, trap := b.run(r, m, &tlb, dp, maxCycles-cycles)
+					cyc, ret, hits, next, out, trap := b.run(r, m, &tlb, dp, st, maxCycles-cycles)
 					st.BlockHits += hits
 					if b.loop {
 						st.LoopPasses += hits

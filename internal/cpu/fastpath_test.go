@@ -19,6 +19,7 @@ type fakeMem struct {
 	pages    []*DecodedPage
 	tlb      TLB
 	roTLB    bool // refill slots without write, as armed dirty tracking does
+	codeTLB  bool // refill only the code page's slot: every data access misses
 	noFast   bool // no decoded pages and no TLB refills
 	noBlocks bool
 	exec     ExecStats
@@ -43,7 +44,7 @@ func newFakeMem(pages int) *fakeMem {
 func (m *fakeMem) clone() *fakeMem {
 	c := newFakeMem(len(m.frames))
 	copy(c.data, m.data)
-	c.roTLB = m.roTLB
+	c.roTLB, c.codeTLB = m.roTLB, m.codeTLB
 	return c
 }
 
@@ -60,7 +61,7 @@ func (m *fakeMem) flushTLB() { clear(m.tlb.Slots) }
 
 // refill installs va's translation after a successful Memory access.
 func (m *fakeMem) refill(va uint32) {
-	if m.noFast {
+	if m.noFast || m.codeTLB && va >= mem.PageSize {
 		return
 	}
 	perm := uint8(TLBRead | TLBWrite | TLBExec)

@@ -229,8 +229,10 @@ func TestCountedLoopFoldConditions(t *testing.T) {
 // genLoop emits a random counted loop into m and returns the entry
 // register file: random body instructions (ALU, loads and stores to the
 // data pages and now and then the code page) that never write x, a step
-// and a compare drawn from every sign and branch.
-func genLoop(m *fakeMem, rng *rand.Rand) (loopShape, Regs) {
+// and a compare drawn from every sign and branch. With idem the body only
+// loads from x-based addresses into registers other than y, with x on a
+// data page: a loop runLoop may fast-forward.
+func genLoop(m *fakeMem, rng *rand.Rand, idem bool) (loopShape, Regs) {
 	var s loopShape
 	s.x = rng.Intn(NumRegs)
 	s.y = rng.Intn(NumRegs)
@@ -247,6 +249,14 @@ func genLoop(m *fakeMem, rng *rand.Rand) (loopShape, Regs) {
 	for n := 1 + rng.Intn(5); len(s.body) < n; {
 		in := Instr{Rd: other(), Rs: rng.Intn(NumRegs), Rt: rng.Intn(NumRegs), Imm: uint32(rng.Intn(4 * mem.PageSize))}
 		switch p := rng.Intn(10); {
+		case idem:
+			if in.Rd == s.y {
+				continue
+			}
+			in.Op, in.Rs, in.Imm = []Opcode{OpLd, OpLdb}[rng.Intn(2)], s.x, in.Imm%64
+			if in.Op == OpLd {
+				in.Imm &^= 3
+			}
 		case p < 4:
 			in.Op = []Opcode{OpMovi, OpMov, OpAdd, OpSub, OpAnd, OpOr, OpXor, OpShl, OpShr, OpMul, OpAddi}[rng.Intn(11)]
 			in.Imm %= 64
@@ -266,6 +276,9 @@ func genLoop(m *fakeMem, rng *rand.Rand) (loopShape, Regs) {
 	for i := range regs.R {
 		regs.R[i] = []uint32{0, uint32(rng.Intn(64)), loopData + uint32(rng.Intn(mem.PageSize)), rng.Uint32()}[rng.Intn(4)]
 	}
+	if idem {
+		regs.R[s.x] = loopData + uint32(rng.Intn(3*mem.PageSize))
+	}
 	// Make the loop run a while: place y a random number of steps from x.
 	regs.R[s.y] = regs.R[s.x] + s.k*uint32(1+rng.Intn(3000))
 	return s, regs
@@ -274,7 +287,9 @@ func genLoop(m *fakeMem, rng *rand.Rand) (loopShape, Regs) {
 // FuzzStepNLoops: random counted loops — every step sign, compare side,
 // branch and body mix the fold admits — must run identically through
 // StepN and the Step reference at any budget, with TLB flushes between
-// batches and with a TLB that refuses stores.
+// batches and with a TLB that refuses stores. A third of the seeds draw
+// loops the fast-forward may take. Budget 0 stands for one large batch,
+// capped so that a loop that never exits (a body may write y) still ends.
 func FuzzStepNLoops(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
 		f.Add(seed, uint64(seed*37), seed%3 == 0)
@@ -284,12 +299,101 @@ func FuzzStepNLoops(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		proto := newFakeMem(loopPages)
 		proto.roTLB = ro
-		_, regs := genLoop(proto, rng)
+		_, regs := genLoop(proto, rng, seed%3 == 0)
 		if budget == 0 {
-			budget = 1 << 40
+			budget = 1 << 22
 		} else {
 			budget = 1 + budget%4096
 		}
 		runLoopEquiv(t, fmt.Sprintf("seed %d", seed), proto, regs, budget, rng)
 	})
+}
+
+// TestLoopFastForward drives each clamp on runLoop's fast-forward (the
+// compare, the window's page end, the budget) and each shape it must
+// refuse through StepN and the Step reference, with a TLB that grants
+// stores and one that does not, at budgets from 1 up to one page of
+// passes. Eligible shapes must skip passes at some budget; the others
+// must never skip one.
+func TestLoopFastForward(t *testing.T) {
+	const (
+		page2 = loopData + mem.PageSize
+		page3 = loopData + 2*mem.PageSize
+		end   = loopPages * mem.PageSize
+		neg1  = ^uint32(0)
+		neg4  = ^uint32(3)
+	)
+	ldb := Instr{Op: OpLdb, Rd: 3, Rs: 6}
+	cases := []struct {
+		name    string
+		shape   loopShape
+		regs    map[int]uint32
+		codeTLB bool // data pages never in the TLB: no window
+		skips   bool
+	}{
+		{"blt limit mid-page", loopShape{body: []Instr{ldb}, x: 6, y: 5, k: 1, br: OpBlt},
+			map[int]uint32{6: loopData, 5: loopData + 0x7FF}, false, true},
+		{"bge limit mid-page, x on the right", loopShape{body: []Instr{ldb}, x: 6, y: 5, k: 1, br: OpBge, xRight: true},
+			map[int]uint32{6: loopData + 1, 5: loopData + 0x801}, false, true},
+		{"bne limit mid-page", loopShape{body: []Instr{ldb}, x: 6, y: 5, k: 2, br: OpBne},
+			map[int]uint32{6: loopData, 5: loopData + 0x7FE}, false, true},
+		{"negative step, bge limit mid-page", loopShape{body: []Instr{ldb}, x: 6, y: 5, k: neg1, br: OpBge},
+			map[int]uint32{6: page2 - 1, 5: loopData + 0x801}, false, true},
+		{"negative step, blt limit mid-page, x on the right", loopShape{body: []Instr{ldb}, x: 6, y: 5, k: neg1, br: OpBlt, xRight: true},
+			map[int]uint32{6: page2 - 1, 5: loopData + 0x800}, false, true},
+		{"no loads, limit and budget only", loopShape{body: []Instr{{Op: OpAdd, Rd: 1, Rs: 6, Rt: 2}, {Op: OpShl, Rd: 3, Rs: 1, Rt: 2}},
+			x: 6, y: 5, k: 3, br: OpBlt}, map[int]uint32{6: 0, 5: 30000, 2: 1}, false, true},
+		{"ldb sweep walks off memory", loopShape{body: []Instr{ldb}, x: 6, y: 5, k: 1, br: OpBlt},
+			map[int]uint32{6: page3 - 0x900, 5: 0xFFFF_0000}, false, true},
+		{"second load crosses the page first", loopShape{body: []Instr{ldb, {Op: OpLdb, Rd: 4, Rs: 6, Imm: 1}, {Op: OpAdd, Rd: 2, Rs: 3, Rt: 4}},
+			x: 6, y: 5, k: 1, br: OpBlt}, map[int]uint32{6: page3 - 0x900, 5: 0xFFFF_0000}, false, true},
+		{"ld sweep, last word at +4092", loopShape{body: []Instr{{Op: OpLd, Rd: 1, Rs: 4}, {Op: OpXor, Rd: 2, Rs: 1, Rt: 4}},
+			x: 4, y: 5, k: 4, br: OpBlt}, map[int]uint32{4: page3 - 0x1000, 5: 0xFFFF_0000}, false, true},
+		{"ld sweep down to +0", loopShape{body: []Instr{{Op: OpLd, Rd: 1, Rs: 4, Imm: neg4}},
+			x: 4, y: 5, k: neg4, br: OpBge}, map[int]uint32{4: page2 + 0x800, 5: loopData + 4}, false, true},
+		{"ld misaligned every other pass", loopShape{body: []Instr{{Op: OpLd, Rd: 1, Rs: 4}},
+			x: 4, y: 5, k: 2, br: OpBlt}, map[int]uint32{4: loopData, 5: page2}, false, false},
+		{"stride of a page skips nothing", loopShape{body: []Instr{ldb}, x: 6, y: 5, k: mem.PageSize, br: OpBlt},
+			map[int]uint32{6: loopData + 5, 5: end}, false, false},
+		{"invariant-base load on the sweep's page", loopShape{body: []Instr{ldb, {Op: OpLd, Rd: 1, Rs: 2, Imm: 8}},
+			x: 6, y: 5, k: 1, br: OpBlt}, map[int]uint32{6: loopData, 5: page3, 2: loopData}, false, true},
+		{"invariant-base load on another page", loopShape{body: []Instr{ldb, {Op: OpLd, Rd: 1, Rs: 2, Imm: 8}},
+			x: 6, y: 5, k: 1, br: OpBlt}, map[int]uint32{6: loopData, 5: page2, 2: page3}, false, false},
+		{"missing window", loopShape{body: []Instr{ldb}, x: 6, y: 5, k: 1, br: OpBlt},
+			map[int]uint32{6: loopData, 5: page3}, true, false},
+		{"beq stays one pass at most", loopShape{body: []Instr{ldb}, x: 6, y: 5, k: 1, br: OpBeq},
+			map[int]uint32{6: loopData, 5: loopData + 1}, false, false},
+		{"carried accumulator", loopShape{body: []Instr{{Op: OpLd, Rd: 1, Rs: 4}, {Op: OpAdd, Rd: 3, Rs: 3, Rt: 1}},
+			x: 4, y: 5, k: 4, br: OpBlt}, map[int]uint32{4: loopData, 5: page3}, false, false},
+		{"store", loopShape{body: []Instr{ldb, {Op: OpStb, Rs: 6, Rt: 3, Imm: 0x800}}, x: 6, y: 5, k: 1, br: OpBlt},
+			map[int]uint32{6: loopData, 5: page2}, false, false},
+		{"body writes y", loopShape{body: []Instr{ldb, {Op: OpOr, Rd: 5, Rs: 7, Rt: 3}}, x: 6, y: 5, k: 1, br: OpBlt},
+			map[int]uint32{6: loopData, 7: page2}, false, false},
+		{"body-computed load base", loopShape{body: []Instr{{Op: OpAddi, Rd: 2, Rs: 6, Imm: 4}, {Op: OpLdb, Rd: 3, Rs: 2}},
+			x: 6, y: 5, k: 1, br: OpBlt}, map[int]uint32{6: loopData, 5: page2}, false, false},
+	}
+	rng := rand.New(rand.NewSource(27))
+	for _, c := range cases {
+		for _, ro := range []bool{false, true} {
+			name := fmt.Sprintf("%s/roTLB=%v", c.name, ro)
+			proto := newFakeMem(loopPages)
+			proto.roTLB, proto.codeTLB = ro, c.codeTLB
+			c.shape.emit(proto)
+			for i := loopData; i < len(proto.data); i++ {
+				proto.data[i] = byte(i*13 + i>>9)
+			}
+			var regs Regs
+			for r, v := range c.regs {
+				regs.R[r] = v
+			}
+			var skips uint64
+			page := mem.PageSize * c.shape.maxCyc()
+			for budget := uint64(1); budget <= page; budget += 1 + budget/16 {
+				skips += runLoopEquiv(t, name, proto, regs, budget, rng).exec.LoopSkips
+			}
+			if (skips != 0) != c.skips {
+				t.Errorf("%s: %d passes skipped, want skips = %v", name, skips, c.skips)
+			}
+		}
+	}
 }

@@ -41,6 +41,7 @@ type ExecStats struct {
 	BlockBails         uint64 // block runs cut short or skipped (budget, stale store)
 	BlockInvalidations uint64 // built blocks dropped by a page reset
 	LoopPasses         uint64 // BlockHits that ran a counted loop (runLoop)
+	LoopSkips          uint64 // LoopPasses fast-forwarded, not run (ffSkips)
 }
 
 // Add accumulates other into s (for kernel-wide aggregation).
@@ -52,6 +53,7 @@ func (s *ExecStats) Add(o *ExecStats) {
 	s.BlockBails += o.BlockBails
 	s.BlockInvalidations += o.BlockInvalidations
 	s.LoopPasses += o.LoopPasses
+	s.LoopSkips += o.LoopSkips
 }
 
 // block is one fused straight-line run. body holds the non-control
@@ -83,6 +85,7 @@ type block struct {
 	accOp     Opcode // normalized body op (OpAddi folds into OpAdd)
 	accSrcImm bool   // src is d.imm rather than a register
 	loop      bool
+	idem      bool // a counted loop whose passes runLoop may skip (passIdempotent)
 	cmpEq     bool // terminator compares ==/!= (else </>=)
 	cmpWant   bool // loop continues while compare == cmpWant
 }
@@ -341,8 +344,8 @@ const (
 // fused into one block runs to budget exhaustion without ever returning
 // to the dispatch loop). The caller must have checked that budget covers
 // b.maxCyc once. It returns the exact cycles consumed, the instructions
-// retired, the number of block passes (for cpu.blocks.hits), the next PC
-// (blockOK and blockStale), the outcome, and the trap (blockTrap only).
+// retired, the block passes (cpu.blocks.hits; st counts skipped ones), the
+// next PC (blockOK, blockStale), the outcome and the trap (blockTrap only).
 // Loads and stores try tlb inline and call m only on a miss.
 //
 // Fault and bail sequencing is cycle- and word-exact versus single-step:
@@ -350,12 +353,12 @@ const (
 // prefix, leaves registers untouched, and r.PC addresses it precisely; a
 // store that bumps this page's generation commits fully (it retired) and
 // ends the block at the next instruction boundary.
-func (b *block) run(r *Regs, m DecodedSource, tlb *TLB, dp *DecodedPage, budget uint64) (uint64, uint64, uint64, uint32, int, Trap) {
+func (b *block) run(r *Regs, m DecodedSource, tlb *TLB, dp *DecodedPage, st *ExecStats, budget uint64) (uint64, uint64, uint64, uint32, int, Trap) {
 	if b.accOp != 0 {
 		return b.runAcc(r, budget)
 	}
 	if b.loop {
-		return b.runLoop(r, m, tlb, dp, budget)
+		return b.runLoop(r, m, tlb, dp, st, budget)
 	}
 	// The register file lives in a local array for the duration of the
 	// block: the compiler then knows the interface calls (Load32 etc.)

@@ -46,22 +46,57 @@ func (b *block) specializeLoop() {
 	if Opcode(step.op1-1) != OpAddi || step.rs != x || (b.term.rs != x && b.term.rt != x) {
 		return
 	}
+	var wr uint8 // registers the body before the step writes
 	for i := range b.body[:n-1] {
-		if writesReg(&b.body[i], x) {
-			return
-		}
+		wr |= writes(&b.body[i])
+	}
+	if wr&(1<<x) != 0 {
+		return
 	}
 	b.loop = true
 	b.setCmp()
+	y := b.term.rs ^ b.term.rt ^ x // the compare's other operand
+	b.idem = step.imm != 0 && y != x && wr&(1<<y) == 0 && b.passIdempotent(x, wr)
 }
 
-// writesReg reports whether the fused body instruction d writes register x.
-func writesReg(d *decoded, x uint8) bool {
+// passIdempotent reports whether a pass of the counted loop on x, whose
+// body writes the registers in wr, carries no value but x to the next: the
+// body before the step only computes and loads, reads only x, registers it
+// never writes and ones written earlier in the pass, and loads only from x
+// or a register it never writes. Such a pass over pages the TLB grants is
+// a pure function of x, and runLoop may skip it (see ffSkips).
+func (b *block) passIdempotent(x, wr uint8) bool {
+	var done uint8 // registers written so far this pass
+	for i := range b.body[:len(b.body)-1] {
+		d := &b.body[i]
+		reads, bad := uint8(1<<d.rs|1<<d.rt), wr&^done // bad: carried from the last pass
+		switch Opcode(d.op1 - 1) {
+		case OpSt, OpStb:
+			return false
+		case OpNop, OpMovi:
+			reads = 0
+		case OpLd, OpLdb:
+			bad = wr // nor may the body compute a load's base
+			fallthrough
+		case OpMov, OpAddi:
+			reads = 1 << d.rs
+		}
+		if reads&^(1<<x)&bad != 0 {
+			return false
+		}
+		done |= writes(d)
+	}
+	return true
+}
+
+// writes returns the register the fused body instruction d writes, as a
+// one-bit mask, or 0.
+func writes(d *decoded) uint8 {
 	switch Opcode(d.op1 - 1) {
 	case OpNop, OpSt, OpStb:
-		return false
+		return 0
 	}
-	return d.rd == x
+	return 1 << d.rd
 }
 
 // readWindow is runLoop's one-page read window: data aliases the frame of
@@ -89,6 +124,71 @@ func (w *readWindow) refill(t *TLB, va uint32) bool {
 	return true
 }
 
+// ffSkips returns how many passes after the one just run a pass-idempotent
+// loop may skip: the largest s such that each of the next s passes stays
+// in the loop and passes the budget check (room is budget minus the cycles
+// so far), and each of the next s+1 reads only the window's page, aligned
+// for Ld. The pass after the skipped ones then runs for real without a
+// fault, setting every register the body writes as the last skipped pass
+// would have; a skipped load is a TLB hit with no effect anyone can see.
+func (b *block) ffSkips(R *[NumRegs]uint32, win *readWindow, room uint64) uint64 {
+	n := len(b.body) - 1
+	x, k := b.body[n].rd&7, b.body[n].imm
+	xv, fwd, step := R[x], k < 1<<31, k
+	if !fwd {
+		step = -k
+	}
+	// The compare holds while x is in [lo, hi], a range that wraps for bne.
+	xLeft, yv := b.term.rs&7 == x, R[(b.term.rs^b.term.rt^x)&7]
+	lo, hi := uint32(0), ^uint32(0)
+	switch {
+	case b.cmpEq && b.cmpWant:
+		return 0 // beq: x moves off y at once
+	case b.cmpEq:
+		lo, hi = yv+1, yv-1
+	case b.cmpWant == xLeft: // blt x,y or bge y,x
+		hi = yv
+		if xLeft {
+			hi--
+		}
+	default: // bge x,y or blt y,x
+		lo = yv
+		if !xLeft {
+			lo++
+		}
+	}
+	dist := hi - xv
+	if !fwd {
+		dist = xv - lo
+	}
+	s := min(uint64(dist/step), room/b.maxCyc-1) // a stayed pass costs maxCyc
+	for i := range b.body[:n] {
+		d := &b.body[i]
+		op := Opcode(d.op1 - 1)
+		if op != OpLd && op != OpLdb {
+			continue
+		}
+		va, last := R[d.rs&7]+d.imm, uint32(mem.PageMask)
+		if op == OpLd {
+			if va&3 != 0 || step&3 != 0 && d.rs&7 == x {
+				return 0
+			}
+			last -= 3
+		}
+		if va>>mem.PageShift != win.vpn {
+			return 0
+		}
+		if d.rs&7 == x {
+			left := last - va&mem.PageMask // bytes to the page end the sweep moves toward
+			if !fwd {
+				left = va & mem.PageMask
+			}
+			s = min(s, uint64(left/step))
+		}
+	}
+	return s
+}
+
 // runLoop executes a counted self-loop (see specializeLoop) pass after
 // pass: the body without its trailing induction step through the same
 // switch as run, then the step and the compare inline — no terminator
@@ -98,10 +198,16 @@ func (w *readWindow) refill(t *TLB, va uint32) bool {
 // exactly run's: it is run on a block whose last two instructions are
 // known.
 //
+// A pass-idempotent loop (b.idem) skips the passes ffSkips allows after
+// each pass that stays, counting them in st.LoopSkips and in every total
+// as if they had run. The check rides on the budget compare — past slowAt
+// a pass ends the run or, for b.idem, tries the skip — so other loops pay
+// nothing for it.
+//
 // It is its own function rather than a flag inside run: the generic walk
 // keeps its shape for every other block, and the window, which only pays
 // across many passes over one page, stays out of it.
-func (b *block) runLoop(r *Regs, m DecodedSource, tlb *TLB, dp *DecodedPage, budget uint64) (uint64, uint64, uint64, uint32, int, Trap) {
+func (b *block) runLoop(r *Regs, m DecodedSource, tlb *TLB, dp *DecodedPage, st *ExecStats, budget uint64) (uint64, uint64, uint64, uint32, int, Trap) {
 	R := r.R
 	n := len(b.body) - 1
 	body := b.body[:n]
@@ -118,6 +224,10 @@ func (b *block) runLoop(r *Regs, m DecodedSource, tlb *TLB, dp *DecodedPage, bud
 	passCyc := uint64(b.pfx[n+1]) + CycInstr // body, step and untaken branch
 	passRet := uint64(n + 2)
 	maxCyc := b.maxCyc
+	slowAt := budget - maxCyc
+	if b.idem {
+		slowAt = 0
+	}
 	win := readWindow{vpn: noWindow}
 	var cycles, retired, hits uint64
 	for {
@@ -213,9 +323,16 @@ func (b *block) runLoop(r *Regs, m DecodedSource, tlb *TLB, dp *DecodedPage, bud
 			return cycles, retired, hits, b.endPC + InstrSize, blockOK, Trap{}
 		}
 		cycles += CycBr
-		if cycles+maxCyc > budget {
-			r.R = R
-			return cycles, retired, hits, b.entry, blockOK, Trap{}
+		if cycles > slowAt {
+			if cycles+maxCyc > budget {
+				r.R = R
+				return cycles, retired, hits, b.entry, blockOK, Trap{}
+			}
+			s := b.ffSkips(&R, &win, budget-cycles)
+			xv += uint32(s) * k
+			R[x] = xv
+			cycles, retired, hits = cycles+s*maxCyc, retired+s*passRet, hits+s
+			st.LoopSkips += s
 		}
 	}
 }

@@ -58,7 +58,7 @@ func Take(t *testing.T, k *core.Kernel) *Digest {
 	st, es := k.Stats(), k.ExecStats()
 	d := &Digest{Stats: st, Counters: map[string]uint64{
 		"PagesDecoded": es.PagesDecoded, "BlocksBuilt": es.BlocksBuilt, "BlockHits": es.BlockHits,
-		"LoopPasses": es.LoopPasses, "StaleResets": es.StaleResets, "FastpathHits": st.FastpathHits,
+		"LoopPasses": es.LoopPasses, "LoopSkips": es.LoopSkips, "StaleResets": es.StaleResets, "FastpathHits": st.FastpathHits,
 		"ZeroCopyShares": st.ZeroCopyShares, "ZeroCopyCOWBreaks": st.ZeroCopyCOWBreaks,
 	}}
 	for i := 0; i < k.NumCPUs(); i++ {

@@ -65,10 +65,10 @@ type Flag struct {
 var (
 	FastPath = Flag{Name: "DisableFastPath", Class: Untimed,
 		Set:      func(c *core.Config) { c.DisableFastPath = true },
-		Counters: []string{"PagesDecoded", "BlockHits", "BlocksBuilt", "LoopPasses"}}
+		Counters: []string{"PagesDecoded", "BlockHits", "BlocksBuilt", "LoopPasses", "LoopSkips"}}
 	ThreadedCode = Flag{Name: "DisableThreadedCode", Class: Identical,
 		Set:      func(c *core.Config) { c.DisableThreadedCode = true },
-		Counters: []string{"BlockHits", "BlocksBuilt", "LoopPasses"}}
+		Counters: []string{"BlockHits", "BlocksBuilt", "LoopPasses", "LoopSkips"}}
 	Profiler = Flag{Name: "EnableProfiler", Class: Identical, Enables: true,
 		Set:      func(c *core.Config) { c.EnableProfiler, c.EnableIPCSpans = true, true },
 		Counters: []string{"ProfiledCycles"}}

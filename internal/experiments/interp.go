@@ -165,10 +165,11 @@ func InterpreterTiers(iters int) ([]InterpTierResult, error) {
 
 // InterpreterTiersRender formats the tier comparison: identical virtual
 // cycles, host time per tier, the threaded/decode-cache speedup, and the
-// threaded tier's block activity (hits, of which counted-loop passes).
+// threaded tier's block activity (hits, of which counted-loop passes, of
+// which fast-forwarded).
 func InterpreterTiersRender(rows []InterpTierResult) *stats.Table {
 	t := stats.NewTable("Interpreter tiers: host time for identical virtual work (process model)",
-		"workload", "virt cycles", "slow", "decode-cache", "threaded", "thr/dec speedup", "block hits", "loop passes", "invalidations")
+		"workload", "virt cycles", "slow", "decode-cache", "threaded", "thr/dec speedup", "block hits", "loop passes", "skipped passes", "invalidations")
 	for _, r := range rows {
 		speed := float64(r.Host[1]) / float64(r.Host[2])
 		t.Row(r.Workload, r.Cycles,
@@ -176,7 +177,7 @@ func InterpreterTiersRender(rows []InterpTierResult) *stats.Table {
 			fmt.Sprintf("%.1fms", float64(r.Host[1].Microseconds())/1000),
 			fmt.Sprintf("%.1fms", float64(r.Host[2].Microseconds())/1000),
 			fmt.Sprintf("%.2fx", speed),
-			r.Exec.BlockHits, r.Exec.LoopPasses, r.Exec.BlockInvalidations)
+			r.Exec.BlockHits, r.Exec.LoopPasses, r.Exec.LoopSkips, r.Exec.BlockInvalidations)
 	}
 	return t
 }

@@ -7,7 +7,9 @@ import "testing"
 // internally otherwise) and that each workload engages the machinery it
 // was built to stress: fused blocks execute on the straight-line and
 // branch-heavy shapes, the self-modifying shape actually invalidates
-// built blocks, and the array sweeps run as counted loops.
+// built blocks, and the array sweeps run as counted loops — the byte sweep
+// fast-forwarded, gcc's word sweep, whose accumulator carries a value from
+// pass to pass, not.
 func TestInterpreterTiers(t *testing.T) {
 	rows, err := InterpreterTiers(30_000)
 	if err != nil {
@@ -32,6 +34,9 @@ func TestInterpreterTiers(t *testing.T) {
 		case "byte-sweep", "word-sweep":
 			if r.Exec.LoopPasses == 0 {
 				t.Errorf("%s: no counted-loop pass ran; the sweep is not folded", r.Workload)
+			}
+			if skipped := r.Exec.LoopSkips != 0; skipped != (r.Workload == "byte-sweep") {
+				t.Errorf("%s: %d passes fast-forwarded; want some on byte-sweep and none on word-sweep", r.Workload, r.Exec.LoopSkips)
 			}
 		}
 	}

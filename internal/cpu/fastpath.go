@@ -192,23 +192,9 @@ func StepN(r *Regs, m DecodedSource, maxCycles uint64) (uint64, uint64, Trap) {
 
 		d := &dp.slots[slot]
 		if d.op1 == 0 {
-			r.PC = pc
-			w0, f := m.Fetch32(pc)
-			if f != nil {
+			if f := decodeSlot(m, pc, d); f != nil {
+				r.PC = pc
 				return cycles + CycInstr, retired, Trap{Kind: TrapFault, Fault: *f}
-			}
-			imm, f := m.Fetch32(pc + 4)
-			if f != nil {
-				return cycles + CycInstr, retired, Trap{Kind: TrapFault, Fault: *f}
-			}
-			op := uint8(w0 >> 24)
-			rd := uint8(w0>>20) & 0xF
-			rs := uint8(w0>>16) & 0xF
-			rt := uint8(w0>>12) & 0xF
-			if op >= uint8(opMax) || rd >= NumRegs || rs >= NumRegs || rt >= NumRegs {
-				*d = decoded{op1: decIllegal}
-			} else {
-				*d = decoded{op1: op + 1, rd: rd, rs: rs, rt: rt, imm: imm}
 			}
 		}
 

@@ -332,3 +332,37 @@ func TestStepNSelfModifyingCode(t *testing.T) {
 		t.Fatal("memory diverges after self-modifying run")
 	}
 }
+
+// fetchFaultMem is a fakeMem whose instruction fetches in [bad, bad+8)
+// fault although DecodedPageFor still offers the page.
+type fetchFaultMem struct {
+	*fakeMem
+	bad uint32
+}
+
+func (m fetchFaultMem) Fetch32(va uint32) (uint32, *Fault) {
+	if va-m.bad < InstrSize {
+		return 0, m.fault(va, Exec)
+	}
+	return m.fakeMem.Fetch32(va)
+}
+
+// TestStepNDecodeFetchFault: a fetch fault while filling a decode slot
+// traps exactly as Step's fetch does — same PC, cycles and fault — with
+// blocks on (the builder stops short of the slot) and off.
+func TestStepNDecodeFetchFault(t *testing.T) {
+	for _, noBlocks := range []bool{false, true} {
+		m := newFakeMem(2)
+		m.noBlocks = noBlocks
+		emitAt(m, 0, Instr{Op: OpMovi, Rd: 1, Imm: 7})
+		emitAt(m, 8, Instr{Op: OpAddi, Rd: 1, Rs: 1, Imm: 1})
+		emitAt(m, 16, Instr{Op: OpHalt})
+		m.resetGens()
+		var rF, rR Regs
+		fc, fr, ft := StepN(&rF, fetchFaultMem{m, 8}, 1<<20)
+		rc, rr, rt := stepRef(&rR, fetchFaultMem{m.clone(), 8}, 1<<20)
+		if ft.Kind != TrapFault || fc != rc || fr != rr || ft != rt || rF != rR {
+			t.Errorf("noBlocks=%v: fast=(%d,%d,%+v) %+v ref=(%d,%d,%+v) %+v", noBlocks, fc, fr, ft, rF, rc, rr, rt, rR)
+		}
+	}
+}

@@ -186,9 +186,10 @@ func TestCountedLoopEquivalence(t *testing.T) {
 }
 
 // TestCountedLoopFoldConditions pins which blocks runLoop takes: the
-// induction register must be written by the trailing addi alone, compared
-// by a conditional branch back to the entry, and the run long enough to be
-// built at all.
+// induction register must be written by the trailing addi alone and
+// compared by a conditional branch back to the entry. The bare counter is
+// built only because it is a loop; any other two-instruction run builds no
+// block. A loop that folds must then run every pass as one block hit.
 func TestCountedLoopFoldConditions(t *testing.T) {
 	ldb := Instr{Op: OpLdb, Rd: 3, Rs: 6}
 	cases := []struct {
@@ -198,6 +199,10 @@ func TestCountedLoopFoldConditions(t *testing.T) {
 	}{
 		{"memtest shape", []Instr{ldb, {Op: OpAddi, Rd: 6, Rs: 6, Imm: 1}, {Op: OpBlt, Rs: 6, Rt: 5}}, true},
 		{"x on the right", []Instr{ldb, {Op: OpAddi, Rd: 6, Rs: 6, Imm: 1}, {Op: OpBge, Rs: 5, Rt: 6}}, true},
+		{"bare counter", []Instr{{Op: OpAddi, Rd: 6, Rs: 6, Imm: 1}, {Op: OpBlt, Rs: 6, Rt: 5}}, true},
+		{"bare counter, x on the right", []Instr{{Op: OpAddi, Rd: 6, Rs: 6, Imm: 1}, {Op: OpBge, Rs: 5, Rt: 6}}, true},
+		{"two-instruction accumulator", []Instr{{Op: OpAdd, Rd: 6, Rs: 6, Rt: 1}, {Op: OpBlt, Rs: 6, Rt: 5}}, false},
+		{"bare counter jumps back", []Instr{{Op: OpAddi, Rd: 6, Rs: 6, Imm: 1}, {Op: OpJmp}}, false},
 		{"body also writes x", []Instr{{Op: OpAdd, Rd: 6, Rs: 6, Rt: 1}, {Op: OpAddi, Rd: 6, Rs: 6, Imm: 1}, {Op: OpBlt, Rs: 6, Rt: 5}}, false},
 		{"body loads into x", []Instr{{Op: OpLdb, Rd: 6, Rs: 6}, {Op: OpAddi, Rd: 6, Rs: 6, Imm: 1}, {Op: OpBlt, Rs: 6, Rt: 5}}, false},
 		{"step is not last", []Instr{{Op: OpAddi, Rd: 6, Rs: 6, Imm: 1}, ldb, {Op: OpBlt, Rs: 6, Rt: 5}}, false},
@@ -205,33 +210,44 @@ func TestCountedLoopFoldConditions(t *testing.T) {
 		{"branch compares another register", []Instr{ldb, {Op: OpAddi, Rd: 6, Rs: 6, Imm: 1}, {Op: OpBlt, Rs: 3, Rt: 5}}, false},
 		{"branch leaves the block", []Instr{ldb, {Op: OpAddi, Rd: 6, Rs: 6, Imm: 1}, {Op: OpBlt, Rs: 6, Rt: 5, Imm: 0x100}}, false},
 		{"jump back", []Instr{ldb, {Op: OpAddi, Rd: 6, Rs: 6, Imm: 1}, {Op: OpJmp}}, false},
-		{"accumulator loop stays runAcc", []Instr{{Op: OpAddi, Rd: 6, Rs: 6, Imm: 1}, {Op: OpBlt, Rs: 6, Rt: 5}}, false},
 	}
 	for _, c := range cases {
 		m := newFakeMem(2)
-		for i, in := range c.code {
+		for i, in := range append(c.code, Instr{Op: OpHalt}) {
 			emitAt(m, uint32(i)*InstrSize, in)
 		}
 		m.resetGens()
 		b := m.DecodedPageFor(0).buildBlock(m, &m.exec, 0, 0)
 		if b == noBlock {
-			t.Fatalf("%s: no block built", c.name)
+			if c.fold {
+				t.Errorf("%s: no block built", c.name)
+			}
+			continue
 		}
 		if b.loop != c.fold {
 			t.Errorf("%s: folded = %v, want %v", c.name, b.loop, c.fold)
 		}
-		if b.loop && b.accOp != 0 {
-			t.Errorf("%s: both self-loop shapes claimed the block", c.name)
+		if !c.fold {
+			continue
+		}
+		r := Regs{R: [NumRegs]uint32{5: 1000}}
+		_, retired, trap := StepN(&r, m, 1<<40)
+		if trap.Kind != TrapHalt || r.R[6] < 1000 {
+			t.Fatalf("%s: trap %+v with r6 = %d, want halt past 1000", c.name, trap, r.R[6])
+		}
+		if e := m.exec; e.BlockHits != e.LoopPasses || retired != e.LoopPasses*uint64(len(c.code)) {
+			t.Errorf("%s: %d retired, %+v: want one block hit per pass", c.name, retired, e)
 		}
 	}
 }
 
 // genLoop emits a random counted loop into m and returns the entry
-// register file: random body instructions (ALU, loads and stores to the
-// data pages and now and then the code page) that never write x, a step
-// and a compare drawn from every sign and branch. With idem the body only
-// loads from x-based addresses into registers other than y, with x on a
-// data page: a loop runLoop may fast-forward.
+// register file: zero (the bare counter) to five random body instructions
+// (ALU, loads and stores to the data pages and now and then the code page)
+// that never write x, a step and a compare drawn from every sign and
+// branch. With idem the body only loads from x-based addresses into
+// registers other than y, with x on a data page: a loop runLoop may
+// fast-forward.
 func genLoop(m *fakeMem, rng *rand.Rand, idem bool) (loopShape, Regs) {
 	var s loopShape
 	s.x = rng.Intn(NumRegs)
@@ -246,7 +262,7 @@ func genLoop(m *fakeMem, rng *rand.Rand, idem bool) (loopShape, Regs) {
 		}
 		return r
 	}
-	for n := 1 + rng.Intn(5); len(s.body) < n; {
+	for n := rng.Intn(6); len(s.body) < n; {
 		in := Instr{Rd: other(), Rs: rng.Intn(NumRegs), Rt: rng.Intn(NumRegs), Imm: uint32(rng.Intn(4 * mem.PageSize))}
 		switch p := rng.Intn(10); {
 		case idem:
@@ -343,6 +359,16 @@ func TestLoopFastForward(t *testing.T) {
 			map[int]uint32{6: page2 - 1, 5: loopData + 0x800}, false, true},
 		{"no loads, limit and budget only", loopShape{body: []Instr{{Op: OpAdd, Rd: 1, Rs: 6, Rt: 2}, {Op: OpShl, Rd: 3, Rs: 1, Rt: 2}},
 			x: 6, y: 5, k: 3, br: OpBlt}, map[int]uint32{6: 0, 5: 30000, 2: 1}, false, true},
+		{"bare counter, blt", loopShape{x: 6, y: 5, k: 1, br: OpBlt},
+			map[int]uint32{6: 0, 5: 30000}, false, true},
+		{"bare counter, bne, x on the right", loopShape{x: 6, y: 5, k: 3, br: OpBne, xRight: true},
+			map[int]uint32{6: 0, 5: 30000}, false, true},
+		{"bare counter, negative step, bge", loopShape{x: 6, y: 5, k: neg1, br: OpBge},
+			map[int]uint32{6: 30000, 5: 7}, false, true},
+		{"bare counter, bge, x on the right", loopShape{x: 6, y: 5, k: 2, br: OpBge, xRight: true},
+			map[int]uint32{6: 0, 5: 30000}, false, true},
+		{"bare counter, beq", loopShape{x: 6, y: 5, k: 1, br: OpBeq},
+			map[int]uint32{6: 0, 5: 1}, false, false},
 		{"ldb sweep walks off memory", loopShape{body: []Instr{ldb}, x: 6, y: 5, k: 1, br: OpBlt},
 			map[int]uint32{6: page3 - 0x900, 5: 0xFFFF_0000}, false, true},
 		{"second load crosses the page first", loopShape{body: []Instr{ldb, {Op: OpLdb, Rd: 4, Rs: 6, Imm: 1}, {Op: OpAdd, Rd: 2, Rs: 3, Rt: 4}},

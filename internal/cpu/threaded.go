@@ -74,20 +74,13 @@ type block struct {
 	endPC  uint32 // PC after the body: the terminator's PC, or the resume PC
 	maxCyc uint64
 
-	// Self-loop shapes, at most one per block. Accumulator superinstruction
-	// (see specializeAcc): when accOp != 0 the whole block is
-	// `acc = acc OP src; branch back while COND` and runAcc executes it
-	// with the live values in scalars, free of the register-array
-	// store/load dependency chain that limits the generic walk. Counted
-	// loop (see specializeLoop): when loop is set the body ends in the
-	// induction step of the register the terminator compares, and runLoop
-	// folds step and branch into the pass.
-	accOp     Opcode // normalized body op (OpAddi folds into OpAdd)
-	accSrcImm bool   // src is d.imm rather than a register
-	loop      bool
-	idem      bool // a counted loop whose passes runLoop may skip (passIdempotent)
-	cmpEq     bool // terminator compares ==/!= (else </>=)
-	cmpWant   bool // loop continues while compare == cmpWant
+	// Counted self-loop (see specializeLoop): when loop is set the body
+	// ends in the induction step of the register the terminator compares,
+	// and runLoop folds step and branch into the pass.
+	loop    bool
+	idem    bool // a counted loop whose passes runLoop may skip (passIdempotent)
+	cmpEq   bool // terminator compares ==/!= (else </>=)
+	cmpWant bool // loop continues while compare == cmpWant
 }
 
 // noBlock marks entries where fusion is pointless (a control transfer,
@@ -127,17 +120,16 @@ func isControl(op Opcode) bool {
 }
 
 // decodeSlot fills d from the two instruction words at pc, marking the
-// slot decIllegal when they do not form a valid instruction. It reports
-// whether the fetch succeeded; a fetch fault leaves d untouched so the
-// single-step path raises the fault with full precision.
-func decodeSlot(m DecodedSource, pc uint32, d *decoded) bool {
+// slot decIllegal when they do not form a valid instruction. A fetch
+// fault is returned and leaves d untouched.
+func decodeSlot(m DecodedSource, pc uint32, d *decoded) *Fault {
 	w0, f := m.Fetch32(pc)
 	if f != nil {
-		return false
+		return f
 	}
 	imm, f := m.Fetch32(pc + 4)
 	if f != nil {
-		return false
+		return f
 	}
 	op := uint8(w0 >> 24)
 	rd := uint8(w0>>20) & 0xF
@@ -148,7 +140,7 @@ func decodeSlot(m DecodedSource, pc uint32, d *decoded) bool {
 	} else {
 		*d = decoded{op1: op + 1, rd: rd, rs: rs, rt: rt, imm: imm}
 	}
-	return true
+	return nil
 }
 
 // buildBlock fuses the straight-line run starting at pc into a block,
@@ -174,7 +166,7 @@ func (p *DecodedPage) buildBlock(m DecodedSource, st *ExecStats, pc uint32, slot
 			break // immediate word straddles into the next page
 		}
 		d := &p.slots[s]
-		if d.op1 == 0 && !decodeSlot(m, cur, d) {
+		if d.op1 == 0 && decodeSlot(m, cur, d) != nil {
 			break
 		}
 		if d.op1 == decIllegal {
@@ -215,14 +207,13 @@ func (p *DecodedPage) buildBlock(m DecodedSource, st *ExecStats, pc uint32, slot
 		b.maxCyc += CycInstr + CycBr
 		termN = 1
 	}
-	b.specializeAcc()
 	b.specializeLoop()
-	if b.accOp == 0 && len(b.body)+termN < minBlockLen {
+	if !b.loop && len(b.body)+termN < minBlockLen {
 		// Too short to amortize the block executor's entry/exit cost:
 		// on branch-dense code a 2-instruction fused run is slower than
-		// two single-step dispatches. The accumulator self-loop is the
-		// exception — it is 2 instructions but runs many passes per
-		// dispatch in host scalars.
+		// two single-step dispatches. The bare counter `addi x,x,k; bCC
+		// x,y` is the exception — a counted loop with an empty body, it
+		// runs many passes per dispatch.
 		p.blocks[slot] = noBlock
 		return noBlock
 	}
@@ -230,105 +221,6 @@ func (p *DecodedPage) buildBlock(m DecodedSource, st *ExecStats, pc uint32, slot
 	p.built++
 	st.BlocksBuilt++
 	return b
-}
-
-// specializeAcc recognizes the accumulator self-loop shape — a single
-// pure-ALU body instruction updating one register in place, and a
-// conditional branch on that register back to the block's own entry:
-//
-//	loop: acc = acc OP src
-//	      bCC  acc, lim, loop
-//
-// — the inner loop of counters, delays, and reductions. runAcc executes
-// it with acc, src, and lim in host scalars; the generic walk keeps the
-// register file in memory, so the loop-carried dependency costs a
-// store-to-load forward per pass, which this removes.
-func (b *block) specializeAcc() {
-	if len(b.body) != 1 || b.term.imm != b.entry {
-		return
-	}
-	switch b.termOp {
-	case OpBeq, OpBne, OpBlt, OpBge:
-	default:
-		return
-	}
-	d := &b.body[0]
-	op := Opcode(d.op1 - 1)
-	switch op {
-	case OpAddi:
-		op = OpAdd
-		b.accSrcImm = true
-	case OpAdd, OpSub, OpAnd, OpOr, OpXor, OpShl, OpShr, OpMul:
-		if d.rt == d.rd {
-			return // src must be loop-invariant
-		}
-	default:
-		return
-	}
-	if d.rs != d.rd || b.term.rs != d.rd || b.term.rt == d.rd {
-		return // not acc-shaped, or the limit is not loop-invariant
-	}
-	b.accOp = op
-	b.setCmp()
-}
-
-// runAcc executes an accumulator self-loop (see specializeAcc) entirely
-// in scalars, pass after pass, until the branch falls through or the
-// budget cannot cover another worst-case pass. Cycle and retirement
-// accounting is identical to the generic walk: every pass charges body +
-// branch (+CycBr when taken) and retires two instructions. The body is
-// pure ALU, so no faults and no staleness checks can occur mid-pass.
-func (b *block) runAcc(r *Regs, budget uint64) (uint64, uint64, uint64, uint32, int, Trap) {
-	d := &b.body[0]
-	acc := r.R[d.rd&7]
-	src := d.imm
-	if !b.accSrcImm {
-		src = r.R[d.rt&7]
-	}
-	lim := r.R[b.term.rt&7]
-	op := b.accOp
-	eq, want := b.cmpEq, b.cmpWant
-	base := uint64(b.pfx[1]) + CycInstr // body + untaken branch
-	maxCyc := b.maxCyc
-	var cycles, retired, hits uint64
-	for {
-		hits++
-		switch op {
-		case OpAdd:
-			acc += src
-		case OpSub:
-			acc -= src
-		case OpAnd:
-			acc &= src
-		case OpOr:
-			acc |= src
-		case OpXor:
-			acc ^= src
-		case OpShl:
-			acc <<= src & 31
-		case OpShr:
-			acc >>= src & 31
-		case OpMul:
-			acc *= src
-		}
-		cycles += base
-		retired += 2
-		var stay bool
-		if eq {
-			stay = (acc == lim) == want
-		} else {
-			stay = (acc < lim) == want
-		}
-		if !stay {
-			r.R[d.rd&7] = acc
-			return cycles, retired, hits, b.endPC + InstrSize, blockOK, Trap{}
-		}
-		cycles += CycBr
-		if cycles+maxCyc > budget {
-			r.R[d.rd&7] = acc
-			return cycles, retired, hits, b.entry, blockOK, Trap{}
-		}
-	}
 }
 
 // Block run outcomes.
@@ -354,9 +246,6 @@ const (
 // store that bumps this page's generation commits fully (it retired) and
 // ends the block at the next instruction boundary.
 func (b *block) run(r *Regs, m DecodedSource, tlb *TLB, dp *DecodedPage, st *ExecStats, budget uint64) (uint64, uint64, uint64, uint32, int, Trap) {
-	if b.accOp != 0 {
-		return b.runAcc(r, budget)
-	}
 	if b.loop {
 		return b.runLoop(r, m, tlb, dp, st, budget)
 	}

@@ -1,9 +1,10 @@
-// Counted-loop executor: the second shape-specialized block executor
-// beside runAcc. A fused self-loop whose body ends in the induction step of
-// the register its branch compares — the array sweeps of memtest and gcc —
-// runs the step and the compare inline, and reads through a one-page window
-// that lives across passes. See specializeLoop for the shape and runLoop
-// for the execution contract, which is run's.
+// Counted-loop executor: the one shape-specialized block executor beside
+// the generic walk. A fused self-loop whose body ends in the induction step
+// of the register its branch compares — the array sweeps of memtest and
+// gcc, and the bare counter — runs the step and the compare inline, and
+// reads through a one-page window that lives across passes. See
+// specializeLoop for the shape and runLoop for the execution contract,
+// which is run's.
 package cpu
 
 import (
@@ -12,28 +13,22 @@ import (
 	"repro/internal/mem"
 )
 
-// setCmp records the conditional terminator's compare for the self-loop
-// executors.
-func (b *block) setCmp() {
-	b.cmpEq = b.termOp == OpBeq || b.termOp == OpBne
-	b.cmpWant = b.termOp == OpBeq || b.termOp == OpBlt
-}
-
 // specializeLoop recognizes the counted self-loop — a conditional branch
 // back to the block's own entry on a register x that only the body's last
 // instruction, `addi x, x, k`, writes:
 //
-//	loop: ldb  r3, [r6]      (any fusable body not writing r6)
+//	loop: ldb  r3, [r6]      (any fusable body not writing r6, or none)
 //	      addi r6, r6, 1
 //	      blt  r6, r5, loop  (x on either side of the compare)
 //
-// — the array sweeps of memtest and gcc. runLoop runs the step and the
-// compare inline instead of dispatching them. Blocks too short to be built
-// at all (see minBlockLen) are not considered, so the set of built blocks,
-// and every counter about them, is the same with or without this shape.
+// — the array sweeps of memtest and gcc, and with nothing before the step
+// the bare counter. runLoop runs the step and the compare inline instead of
+// dispatching them. The bare counter is the only block built for being a
+// loop (see minBlockLen); other two-instruction self-loops, such as
+// `add x,x,r; bCC x,y`, stay on the decode-cache path.
 func (b *block) specializeLoop() {
-	n := len(b.body)
-	if b.accOp != 0 || n < 2 || b.term.imm != b.entry {
+	n := len(b.body) // at least 1: buildBlock caches noBlock for empty bodies
+	if b.term.imm != b.entry {
 		return
 	}
 	switch b.termOp {
@@ -54,7 +49,8 @@ func (b *block) specializeLoop() {
 		return
 	}
 	b.loop = true
-	b.setCmp()
+	b.cmpEq = b.termOp == OpBeq || b.termOp == OpBne
+	b.cmpWant = b.termOp == OpBeq || b.termOp == OpBlt
 	y := b.term.rs ^ b.term.rt ^ x // the compare's other operand
 	b.idem = step.imm != 0 && y != x && wr&(1<<y) == 0 && b.passIdempotent(x, wr)
 }

@@ -12,12 +12,11 @@ func emitAt(m *fakeMem, pc uint32, in Instr) {
 	m.Store32(pc+4, imm)
 }
 
-// TestAccLoopEquivalence drives every accumulator-superinstruction shape
-// (ALU op × conditional branch) through StepN and the reference loop
-// with randomized budgets, and checks the specialized executor actually
-// engaged. This is the directed complement to the random fuzz: the
-// acc-loop pattern is what runAcc scalarizes, so every combination must
-// be cycle-, retirement- and register-exact.
+// TestAccLoopEquivalence drives every two-instruction accumulator loop
+// `acc = acc OP src; bCC acc, lim` (ALU op × conditional branch) through
+// StepN and the reference loop with randomized budgets, and checks which
+// tier ran it: the addi rows are bare counters and run as counted loops,
+// every other op builds no block and runs on the decode cache.
 func TestAccLoopEquivalence(t *testing.T) {
 	ops := []Opcode{OpAdd, OpSub, OpAnd, OpOr, OpXor, OpShl, OpShr, OpMul, OpAddi}
 	brs := []Opcode{OpBeq, OpBne, OpBlt, OpBge}
@@ -26,13 +25,15 @@ func TestAccLoopEquivalence(t *testing.T) {
 		for _, br := range brs {
 			for trial := 0; trial < 8; trial++ {
 				m := newFakeMem(2)
-				// r1 = acc, r2 = src, r3 = lim. Loop at 16.
+				// r1 = acc, r2 = src, r3 = lim. Loop at 24, entered by a
+				// jump so that the first pass already runs from its entry.
 				emitAt(m, 0, Instr{Op: OpMovi, Rd: 1, Imm: rng.Uint32() % 64})
 				emitAt(m, 8, Instr{Op: OpMovi, Rd: 3, Imm: rng.Uint32() % 4096})
+				emitAt(m, 16, Instr{Op: OpJmp, Imm: 24})
 				in := Instr{Op: op, Rd: 1, Rs: 1, Rt: 2, Imm: 1 + rng.Uint32()%4}
-				emitAt(m, 16, in)
-				emitAt(m, 24, Instr{Op: br, Rs: 1, Rt: 3, Imm: 16})
-				emitAt(m, 32, Instr{Op: OpHalt})
+				emitAt(m, 24, in)
+				emitAt(m, 32, Instr{Op: br, Rs: 1, Rt: 3, Imm: 24})
+				emitAt(m, 40, Instr{Op: OpHalt})
 				m.resetGens()
 
 				ref := m.clone()
@@ -50,15 +51,20 @@ func TestAccLoopEquivalence(t *testing.T) {
 						break
 					}
 				}
+				b := m.DecodedPageFor(24).blocks[24>>2]
+				if loop := op == OpAddi; b == nil || loop != (b != noBlock) || loop != b.loop || loop != (m.exec.LoopPasses != 0) {
+					t.Errorf("%v/%v trial %d: loop block %+v, %+v: want a counted loop iff addi", op, br, trial, b, m.exec)
+				}
 			}
 		}
 	}
 }
 
-// TestAccLoopSpecialized pins that the canonical counted loop actually
-// takes the scalar superinstruction path (block built and hit once per
-// pass), so a regression in specializeAcc shows up as a test failure,
-// not a silent performance cliff.
+// TestAccLoopSpecialized pins that the canonical bare counter
+// `addi x,x,1; blt x,y` actually takes the counted-loop path (block built
+// as a loop and hit once per pass, fast-forwarded passes included), so a
+// regression in specializeLoop shows up as a test failure, not a silent
+// performance cliff.
 func TestAccLoopSpecialized(t *testing.T) {
 	m := newFakeMem(2)
 	emitAt(m, 0, Instr{Op: OpMovi, Rd: 6, Imm: 0})
@@ -78,11 +84,13 @@ func TestAccLoopSpecialized(t *testing.T) {
 	}
 	dp := m.DecodedPageFor(16)
 	b := dp.blocks[(16>>2)&(decSlots-1)]
-	if b == nil || b.accOp == 0 {
-		t.Fatalf("counted loop not specialized: %+v", b)
+	if b == nil || b == noBlock || !b.loop {
+		t.Fatalf("bare counter not built as a counted loop: %+v", b)
 	}
-	if m.exec.BlockHits < 1000 {
-		t.Fatalf("BlockHits = %d, want >= 1000 (one per loop pass)", m.exec.BlockHits)
+	// The first pass runs inside the straight-line block entered at 0;
+	// every later pass is one counted-loop hit.
+	if m.exec.BlockHits < 1000 || m.exec.LoopPasses < 999 {
+		t.Fatalf("exec = %+v, want >= 1000 block hits and >= 999 loop passes (one per pass)", m.exec)
 	}
 }
 

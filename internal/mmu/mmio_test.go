@@ -353,7 +353,7 @@ func (d *logDev) IOWrite32(off uint32, v uint32) {
 }
 
 // TestMMIOSpaceTierEquivalence runs one driver-shaped guest — register
-// loads and stores interleaved with memory traffic, a fusable hot loop, a
+// loads and stores interleaved with memory traffic, a tight hot loop, a
 // status-polling counted loop, a store that rewrites an instruction already
 // executed, an unaligned and a byte access to the window — through every
 // interpreter tier at several
@@ -387,7 +387,8 @@ func TestMMIOSpaceTierEquivalence(t *testing.T) {
 		Xor(2, 2, 3).
 		Stb(5, 9, 6).Ldb(3, 5, 9). // byte traffic beside the words
 		Add(2, 2, 3)
-	// The hot loop: fuses into one accumulator block.
+	// The hot loop: a two-instruction accumulator, too short to fuse, so
+	// the threaded tier runs it from decode slots.
 	b.Movi(1, 0).Movi(3, 7).Movi(0, hotLim).
 		Label("hot").Add(1, 1, 3).Blt(1, 0, "hot").
 		St(5, 4, 1)

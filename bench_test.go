@@ -667,6 +667,28 @@ func BenchmarkInterpreterArraySweep(b *testing.B) {
 	}
 }
 
+// BenchmarkHardFaultPage runs memtest through a kernel, b.N pages in all,
+// so ns/op and allocs/op are per page: one hard fault, pager RPC and
+// restart each — Table 3's path, with the byte sweep fast-forwarded.
+// Kernels of up to 4 096 pages are built with the timer stopped.
+func BenchmarkHardFaultPage(b *testing.B) {
+	const batch = 4096
+	b.ReportAllocs()
+	for done := 0; done < b.N; done += batch {
+		pages := min(b.N-done, batch)
+		b.StopTimer()
+		k := core.New(core.Config{Model: core.ModelInterrupt, Preempt: core.PreemptPartial, PhysFrames: 2 * batch})
+		w, err := workload.NewMemtest(k, uint32(pages*mem.PageSize))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := w.Run(1 << 40); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchInterpreter runs the BenchmarkInterpreter trio's loop,
 // `add r3,r3,r6; addi r6,r6,1; blt r6,r5`.
 func benchInterpreter(b *testing.B, cfg core.Config) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/clock"
+	"repro/internal/mmu"
 	"repro/internal/obj"
 	"repro/internal/sched"
 )
@@ -37,8 +38,10 @@ type CPU struct {
 	reschedSince uint64
 
 	// stats is this CPU's shard of the kernel counters; Kernel.Stats()
-	// sums the shards.
-	stats Stats
+	// sums the shards. Its fault maps stay nil: the CPU counts faults in
+	// the faults array, which StatsInto and CPUStats fold into maps.
+	stats  Stats
+	faults faultCells
 
 	// holds are the lock-model re-entrancy counts, indexed by lock slot:
 	// holds[slot] > 0 means this CPU's kernel context holds that lock
@@ -54,11 +57,10 @@ type CPU struct {
 
 func newCPU(k *Kernel, id int) *CPU {
 	c := &CPU{
-		id:    id,
-		clk:   clock.New(),
-		runq:  sched.NewRunQueue(),
-		stats: newStats(),
-		held:  make([]int32, 0, maxHeldSlots),
+		id:   id,
+		clk:  clock.New(),
+		runq: sched.NewRunQueue(),
+		held: make([]int32, 0, maxHeldSlots),
 	}
 	c.sliceTimer = c.clk.NewTimer(func(uint64) { k.quantumExpired(c) })
 	return c
@@ -98,7 +100,7 @@ func (k *Kernel) CPUNow(i int) uint64 { return k.cpus[i].clk.Now() }
 // under the kernel gate, so it sees a consistent boundary between kernel
 // sections (pinned by the -race merge test).
 func (k *Kernel) Stats() Stats {
-	out := newStats()
+	var out Stats
 	k.StatsInto(&out)
 	return out
 }
@@ -138,15 +140,7 @@ func (k *Kernel) StatsInto(out *Stats) {
 		out.KernelCycles += s.KernelCycles
 		out.IdleCycles += s.IdleCycles
 		out.Restarts += s.Restarts
-		for key, v := range s.FaultCount {
-			out.FaultCount[key] += v
-		}
-		for key, v := range s.FaultRemedy {
-			out.FaultRemedy[key] += v
-		}
-		for key, v := range s.FaultRollback {
-			out.FaultRollback[key] += v
-		}
+		c.faults.foldInto(out)
 		out.PreemptsUser += s.PreemptsUser
 		out.PreemptsPoint += s.PreemptsPoint
 		out.PreemptsKernel += s.PreemptsKernel
@@ -164,5 +158,62 @@ func (k *Kernel) StatsInto(out *Stats) {
 	}
 }
 
-// CPUStats returns CPU i's un-merged stats shard.
-func (k *Kernel) CPUStats(i int) Stats { return k.cpus[i].stats }
+// CPUStats returns CPU i's un-merged stats shard. Its fault maps are
+// freshly allocated, so writing them leaves the kernel's counters alone.
+func (k *Kernel) CPUStats(i int) Stats {
+	c := k.cpus[i]
+	s := c.stats
+	s.FaultCount = make(map[FaultKey]uint64)
+	s.FaultRemedy = make(map[FaultKey]uint64)
+	s.FaultRollback = make(map[FaultKey]uint64)
+	c.faults.foldInto(&s)
+	return s
+}
+
+// faultCell is one (class, side) cell of a CPU's fault counters. The
+// merged Stats maps hold a key for every cell a sum was ever added to,
+// zero sums included, so a cell records which sums were touched as well
+// as their values. A count is only ever incremented, so count > 0 is its
+// own flag.
+type faultCell struct {
+	count, remedy, rollback uint64
+	remedied, rolledBack    bool
+}
+
+// faultCells are a CPU's fault counters, indexed [class][side].
+type faultCells [mmu.FaultCOW + 1][FaultCross + 1]faultCell
+
+// restart counts a fault the thread will restart from, and the cycles of
+// discarded work it rolls back.
+func (fc *faultCells) restart(class mmu.FaultClass, side FaultSide, rollback uint64) {
+	c := &fc[class][side]
+	c.count++
+	c.rollback += rollback
+	c.rolledBack = true
+}
+
+// addRemedy adds cycles spent servicing a fault.
+func (fc *faultCells) addRemedy(class mmu.FaultClass, side FaultSide, cycles uint64) {
+	c := &fc[class][side]
+	c.remedy += cycles
+	c.remedied = true
+}
+
+// foldInto adds the cells to out's fault maps, which must be non-nil.
+func (fc *faultCells) foldInto(out *Stats) {
+	for class := range fc {
+		for side := range fc[class] {
+			c := &fc[class][side]
+			key := FaultKey{Class: mmu.FaultClass(class), Side: FaultSide(side)}
+			if c.count > 0 {
+				out.FaultCount[key] += c.count
+			}
+			if c.remedied {
+				out.FaultRemedy[key] += c.remedy
+			}
+			if c.rolledBack {
+				out.FaultRollback[key] += c.rollback
+			}
+		}
+	}
+}

@@ -658,7 +658,6 @@ func (k *Kernel) doFault(t *obj.Thread, spc *obj.Space, f cpu.Fault) bool {
 	if spc != t.Space {
 		side = FaultCross
 	}
-	key := FaultKey{Class: class, Side: side}
 	sideBit := uint32(0)
 	if side == FaultCross {
 		sideBit = 1
@@ -666,8 +665,7 @@ func (k *Kernel) doFault(t *obj.Thread, spc *obj.Space, f cpu.Fault) bool {
 	k.emit(trace.Fault, f.VA, uint32(class)|sideBit<<8)
 	switch class {
 	case mmu.FaultSoft:
-		c.stats.FaultCount[key]++
-		c.stats.FaultRollback[key] += t.EntryCycles
+		c.faults.restart(class, side, t.EntryCycles)
 		k.countFaultRestart(class, side, t.EntryCycles)
 		t.EntryCycles = 0
 		start := c.clk.Now()
@@ -689,7 +687,7 @@ func (k *Kernel) doFault(t *obj.Thread, spc *obj.Space, f cpu.Fault) bool {
 			return false
 		}
 		c = k.cur // an FP park inside ChargeKernel can migrate us
-		c.stats.FaultRemedy[key] += c.clk.Now() - start
+		c.faults.addRemedy(class, side, c.clk.Now()-start)
 		k.countFaultRemedy(class, side, c.clk.Now()-start)
 		k.releaseHeld()
 		return true
@@ -703,8 +701,7 @@ func (k *Kernel) doFault(t *obj.Thread, spc *obj.Space, f cpu.Fault) bool {
 		// countFaultRestart/Remedy (the four-cause instruments) stay
 		// untouched and the zero-copy equivalence test can pin them
 		// bit-identical with the path on and off.
-		c.stats.FaultCount[key]++
-		c.stats.FaultRollback[key] += t.EntryCycles
+		c.faults.restart(class, side, t.EntryCycles)
 		t.EntryCycles = 0
 		start := c.clk.Now()
 		remedy := uint64(CycCOWBreak)
@@ -734,13 +731,12 @@ func (k *Kernel) doFault(t *obj.Thread, spc *obj.Space, f cpu.Fault) bool {
 			copiedBit = 1
 		}
 		k.emit(trace.COWBreak, f.VA, copiedBit)
-		c.stats.FaultRemedy[key] += c.clk.Now() - start
+		c.faults.addRemedy(class, side, c.clk.Now()-start)
 		k.releaseHeld()
 		return true
 
 	case mmu.FaultHard:
-		c.stats.FaultCount[key]++
-		c.stats.FaultRollback[key] += t.EntryCycles
+		c.faults.restart(class, side, t.EntryCycles)
 		k.countFaultRestart(class, side, t.EntryCycles)
 		t.EntryCycles = 0
 		port, _ := m.Region.Pager.(*obj.Port)
@@ -782,7 +778,7 @@ func (k *Kernel) doFault(t *obj.Thread, spc *obj.Space, f cpu.Fault) bool {
 		}
 
 	default: // fatal
-		c.stats.FaultCount[key]++
+		c.faults[class][side].count++
 		if k.Metrics != nil {
 			k.Metrics.FaultsFatal.Inc()
 		}
@@ -881,16 +877,16 @@ func (k *Kernel) wakePrep(t *obj.Thread) bool {
 	}
 	c := k.cur
 	if t.FaultStart != 0 {
-		key := FaultKey{Class: t.FaultClass, Side: FaultSame}
+		side := FaultSame
 		if t.FaultCross {
-			key.Side = FaultCross
+			side = FaultCross
 		}
 		lat := uint64(0)
 		if now := c.clk.Now(); now > t.FaultStart {
 			lat = now - t.FaultStart
 		}
-		c.stats.FaultRemedy[key] += lat
-		k.countFaultRemedy(key.Class, key.Side, lat)
+		c.faults.addRemedy(t.FaultClass, side, lat)
+		k.countFaultRemedy(t.FaultClass, side, lat)
 		t.FaultStart = 0
 	}
 	if t.State == obj.ThBlocked {

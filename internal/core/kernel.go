@@ -88,14 +88,6 @@ type Stats struct {
 	ContinuationsRecognized uint64
 }
 
-func newStats() Stats {
-	return Stats{
-		FaultCount:    make(map[FaultKey]uint64),
-		FaultRemedy:   make(map[FaultKey]uint64),
-		FaultRollback: make(map[FaultKey]uint64),
-	}
-}
-
 // handler is one syscall implementation. It runs with t == Current(), and
 // returns a kernel-internal result code; user-visible results are
 // delivered only through t.Regs (paper Figure 4).

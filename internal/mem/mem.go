@@ -63,7 +63,16 @@ type Allocator struct {
 	free    []*Frame
 	inUse   int
 	peak    int
+
+	// slab is the uncarved tail of the backing array Alloc cuts grown
+	// frames' Data from; slabPages is the size of the last slab reserved
+	// (see carve).
+	slab      []byte
+	slabPages int
 }
+
+// slabMaxPages caps the slab Alloc reserves at once: 64 pages, 256 KiB.
+const slabMaxPages = 64
 
 // DefaultFrames is the default physical memory size: 64 MB, matching the
 // 200 MHz Pentium Pro / 64 MB testbed in the paper.
@@ -113,11 +122,30 @@ func (a *Allocator) Alloc() (*Frame, error) {
 		return nil, err
 	}
 	if f.Data == nil {
-		f.Data = make([]byte, PageSize)
+		f.Data = a.carve()
 	} else {
 		clear(f.Data)
 	}
 	return f, nil
+}
+
+// carve returns a fresh zeroed page for a frame take just grew, cut from
+// a slab so growing costs one heap object per slab rather than per page.
+// Slabs double from one page up to slabMaxPages and never extend past the
+// frames the limit still allows, so the slabs together never reserve more
+// than limit pages. Each page is a three-index slice (len == cap ==
+// PageSize): no append through one frame can reach its neighbour. A slab
+// stays live while any frame cut from it does; frames never leave their
+// allocator, so that is as long as the allocator itself.
+func (a *Allocator) carve() []byte {
+	if len(a.slab) == 0 {
+		// take has already counted this frame in nextPFN.
+		a.slabPages = min(max(2*a.slabPages, 1), slabMaxPages, a.limit-int(a.nextPFN)+1)
+		a.slab = make([]byte, a.slabPages*PageSize)
+	}
+	d := a.slab[:PageSize:PageSize]
+	a.slab = a.slab[PageSize:]
+	return d
 }
 
 // AllocFrom returns a frame holding the PageSize bytes of page, written

@@ -304,6 +304,79 @@ func TestAllocFromMatchesAlloc(t *testing.T) {
 	}
 }
 
+// TestSlabFramesIsolated pins the slab Alloc carves grown frames from.
+// Every frame is exactly one page (len == cap), so neither a write nor an
+// append through one frame reaches a neighbour cut from the same slab;
+// recycled frames come back zeroed; InUse, Peak and the ErrNoMemory point
+// are those of one allocation per frame, at limits below, at and past the
+// largest slab; and the slabs never reserve more pages than the limit.
+func TestSlabFramesIsolated(t *testing.T) {
+	for _, limit := range []int{1, 3, 8, 64, 65, 200} {
+		a := NewAllocator(limit)
+		var frames []*Frame
+		for {
+			f, err := a.Alloc()
+			if err == ErrNoMemory {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(f.Data) != PageSize || cap(f.Data) != PageSize {
+				t.Fatalf("limit %d: frame %d has len %d cap %d, want both %d", limit, f.PFN, len(f.Data), cap(f.Data), PageSize)
+			}
+			frames = append(frames, f)
+			if reserved := int(a.nextPFN) + len(a.slab)/PageSize; reserved > limit {
+				t.Fatalf("limit %d: %d pages reserved after %d frames", limit, reserved, len(frames))
+			}
+			if a.InUse() != len(frames) || a.Peak() != len(frames) {
+				t.Fatalf("limit %d: InUse/Peak %d/%d after %d allocs", limit, a.InUse(), a.Peak(), len(frames))
+			}
+		}
+		if len(frames) != limit {
+			t.Fatalf("limit %d: ErrNoMemory after %d frames", limit, len(frames))
+		}
+		for i, f := range frames {
+			for j := range f.Data {
+				f.Data[j] = byte(i + 1)
+			}
+		}
+		for i, f := range frames {
+			if g := append(f.Data, 0xEE); &g[0] == &f.Data[0] {
+				t.Fatalf("limit %d: append through frame %d grew in place", limit, i)
+			}
+		}
+		for i, f := range frames {
+			for j, b := range f.Data {
+				if b != byte(i+1) {
+					t.Fatalf("limit %d: frame %d byte %d = %#x, want %#x: a neighbour wrote into it", limit, i, j, b, byte(i+1))
+				}
+			}
+		}
+		half := frames[:limit/2]
+		for _, f := range half {
+			a.Free(f)
+		}
+		if a.InUse() != limit-len(half) || a.Peak() != limit {
+			t.Fatalf("limit %d: InUse/Peak %d/%d after freeing %d", limit, a.InUse(), a.Peak(), len(half))
+		}
+		for range half {
+			f, err := a.Alloc()
+			if err != nil {
+				t.Fatalf("limit %d: realloc: %v", limit, err)
+			}
+			for j, b := range f.Data {
+				if b != 0 {
+					t.Fatalf("limit %d: recycled frame %d byte %d = %#x", limit, f.PFN, j, b)
+				}
+			}
+		}
+		if _, err := a.Alloc(); err != ErrNoMemory || a.InUse() != limit || a.Peak() != limit {
+			t.Fatalf("limit %d: full again: err %v, InUse/Peak %d/%d", limit, err, a.InUse(), a.Peak())
+		}
+	}
+}
+
 func TestAllocFromRejectsShortPage(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -208,8 +208,8 @@ func TestTinyTLBEvictionAndInvalidation(t *testing.T) {
 			if e.Perm == 0 {
 				continue
 			}
-			pe, ok := as.pt[e.VPN]
-			if !ok || pe.frame != e.Frame || Perm(e.Perm)&^pe.perm != 0 {
+			pe := as.pt.lookup(e.VPN)
+			if pe == nil || pe.frame != e.Frame || Perm(e.Perm)&^pe.perm != 0 {
 				t.Fatalf("TLB entry vpn=%#x not backed by the page table", e.VPN)
 			}
 		}

@@ -179,8 +179,8 @@ func TestDirectWindow(t *testing.T) {
 		t.Fatal("window for untranslated page")
 	}
 	// Write windows bump the frame generation so decode caches notice.
-	e, ok := as.pt[mem.VPN(0x10000)]
-	if !ok {
+	e := as.pt.lookup(mem.VPN(0x10000))
+	if e == nil {
 		t.Fatal("no pte")
 	}
 	gen := e.frame.Gen
@@ -224,8 +224,8 @@ func TestTLBSubsetOfPT(t *testing.T) {
 			if e.Perm == 0 {
 				continue
 			}
-			pe, ok := as.pt[e.VPN]
-			if !ok || pe.frame != e.Frame || pe.perm != Perm(e.Perm) {
+			pe := as.pt.lookup(e.VPN)
+			if pe == nil || pe.frame != e.Frame || pe.perm != Perm(e.Perm) {
 				t.Fatalf("%s: TLB slot vpn=%#x not backed by pt", when, e.VPN)
 			}
 		}
@@ -260,8 +260,8 @@ func TestPresentMatchesPageTable(t *testing.T) {
 			for p := uint32(0); p < pages+1; p++ { // one page past the mapping too
 				va := base + p*mem.PageSize + 8
 				for _, acc := range []cpu.Access{cpu.Read, cpu.Write, cpu.Exec} {
-					e, ok := as.pt[mem.VPN(va)]
-					want := ok && e.perm&needs(acc) != 0
+					e := as.pt.lookup(mem.VPN(va))
+					want := e != nil && e.perm&needs(acc) != 0
 					if got := as.Present(va, acc); got != want {
 						t.Fatalf("fast=%v %s: Present(%#x, %v) = %v, page table says %v", fast, when, va, acc, got, want)
 					}

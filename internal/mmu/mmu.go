@@ -181,7 +181,8 @@ func (r *Region) Repoint(off uint32, f *mem.Frame) *mem.Frame {
 				continue
 			}
 			vpn := mem.VPN(m.Base + (po - m.RegionOff))
-			if _, ok := as.pt[vpn]; !ok {
+			pe := as.pt.lookup(vpn)
+			if pe == nil {
 				continue
 			}
 			perm := m.Perm
@@ -189,7 +190,7 @@ func (r *Region) Repoint(off uint32, f *mem.Frame) *mem.Frame {
 				perm &^= PermWrite
 			}
 			as.flushSlot(vpn)
-			as.pt[vpn] = pte{frame: f, perm: perm}
+			*pe = pte{frame: f, perm: perm}
 			if e := &as.icache[vpn%icSize]; e.page != nil && e.vpn == vpn {
 				*e = icEntry{}
 			}
@@ -344,8 +345,8 @@ type pte struct {
 }
 
 // The software TLB (cpu.TLB): a small direct-mapped cache consulted before
-// the pt map on every access, exactly as hardware TLBs cache hardware page
-// tables. Entries are a strict subset of pt (filled only from pt hits),
+// the page table on every access, exactly as hardware TLBs cache hardware
+// page tables. Entries are a strict subset of pt (filled only from pt hits),
 // and every path that drops or rewrites a PTE clears the matching TLB slot,
 // so the TLB can never hold a translation the page table lacks. A zeroed
 // slot has Perm == 0 and therefore never hits. The hit path lives in
@@ -420,7 +421,7 @@ func (c FaultClass) String() string {
 // faults, as on a trap-on-misalign machine).
 type AddrSpace struct {
 	alloc    *mem.Allocator
-	pt       map[uint32]pte // vpn -> pte
+	pt       pageTable // vpn -> pte, three-level (see pagetable.go)
 	mappings []*Mapping
 	io       []ioWindow // device register windows (see mmio.go)
 
@@ -460,7 +461,6 @@ func NewAddrSpaceTLB(alloc *mem.Allocator, size int) *AddrSpace {
 	}
 	return &AddrSpace{
 		alloc: alloc,
-		pt:    make(map[uint32]pte),
 		tlb:   cpu.TLB{Slots: make([]cpu.TLBEntry, n), Mask: uint32(n - 1)},
 	}
 }
@@ -542,9 +542,8 @@ func (as *AddrSpace) SetProtection(m *Mapping, p Perm) {
 }
 
 // FlushRange drops cached PTEs (and TLB/icache entries) covering
-// [base, base+size). When the range spans more pages than the page table
-// holds, it iterates the installed PTEs instead of every vpn in the range,
-// so flushing a huge sparsely-mapped window stays cheap.
+// [base, base+size). The page-table walk visits only allocated blocks, so
+// flushing a huge sparsely-mapped window stays cheap.
 func (as *AddrSpace) FlushRange(base, size uint32) {
 	if size == 0 {
 		return
@@ -552,20 +551,7 @@ func (as *AddrSpace) FlushRange(base, size uint32) {
 	first := mem.VPN(base)
 	last := mem.VPN(base + size - 1)
 	pages := uint64(last-first) + 1
-	if pages > uint64(len(as.pt)) {
-		for vpn := range as.pt {
-			if vpn >= first && vpn <= last {
-				delete(as.pt, vpn)
-			}
-		}
-	} else {
-		for vpn := first; vpn <= last; vpn++ {
-			delete(as.pt, vpn)
-			if vpn == last { // guard wrap-around
-				break
-			}
-		}
-	}
+	as.pt.walk(first, last, func(_ uint32, e *pte) { as.pt.drop(e) })
 	if pages >= uint64(len(as.tlb.Slots)) {
 		clear(as.tlb.Slots)
 	} else {
@@ -601,7 +587,9 @@ func (as *AddrSpace) flushSlot(vpn uint32) {
 // containing va.
 func (as *AddrSpace) FlushPage(va uint32) {
 	vpn := mem.VPN(va)
-	delete(as.pt, vpn)
+	if e := as.pt.lookup(vpn); e != nil {
+		as.pt.drop(e)
+	}
 	as.flushSlot(vpn)
 	if e := &as.icache[vpn%icSize]; e.page != nil && e.vpn == vpn {
 		*e = icEntry{}
@@ -630,19 +618,20 @@ func (as *AddrSpace) SetFastPaths(on bool) {
 }
 
 // Present reports whether the page containing va has a PTE granting acc.
-// The TLB is a strict subset of pt, so a hit there answers without the map
-// lookup; like probe it counts no Faults and changes no cache state, and
-// with fast paths disabled the TLB is empty and every call reads pt.
+// The TLB is a strict subset of pt, so a hit there answers without the
+// page-table walk; like probe it counts no Faults and changes no cache
+// state, and with fast paths disabled the TLB is empty and every call
+// reads pt.
 func (as *AddrSpace) Present(va uint32, acc cpu.Access) bool {
 	if as.tlb.Page(va, uint8(needs(acc))) != nil {
 		return true
 	}
-	e, ok := as.pt[mem.VPN(va)]
-	return ok && e.perm&needs(acc) != 0
+	e := as.pt.lookup(mem.VPN(va))
+	return e != nil && e.perm&needs(acc) != 0
 }
 
 // PTEs returns the number of installed PTEs.
-func (as *AddrSpace) PTEs() int { return len(as.pt) }
+func (as *AddrSpace) PTEs() int { return as.pt.n }
 
 // Classify decides what kind of fault an access to va is, returning the
 // covering mapping for soft/hard/COW faults.
@@ -701,7 +690,7 @@ func (as *AddrSpace) ResolveSoft(va uint32, acc cpu.Access) error {
 	as.flushSlot(vpn) // pt[vpn] changes below; keep TLB ⊆ pt
 	// A PTE born while the region is tracking is born armed, so a store
 	// through it logs the page like any pre-arming translation would.
-	as.pt[vpn] = pte{frame: f, perm: perm, track: m.Region.trackDirty}
+	as.pt.set(vpn, pte{frame: f, perm: perm, track: m.Region.trackDirty})
 	return nil
 }
 
@@ -748,7 +737,7 @@ func (as *AddrSpace) ResolveCOW(va uint32) (copied bool, err error) {
 	}
 	vpn := mem.VPN(va)
 	as.flushSlot(vpn) // pt[vpn] changes below; keep TLB ⊆ pt
-	as.pt[vpn] = pte{frame: cur, perm: m.Perm}
+	as.pt.set(vpn, pte{frame: cur, perm: m.Perm})
 	return copied, nil
 }
 
@@ -811,7 +800,7 @@ func ShareCOW(src *AddrSpace, srcVA uint32, dst *AddrSpace, dstVA uint32) bool {
 	// stays as mapped as the copying path would have left it.
 	dvpn := mem.VPN(dstVA)
 	dst.flushSlot(dvpn)
-	dst.pt[dvpn] = pte{frame: f, perm: dm.Perm &^ PermWrite}
+	dst.pt.set(dvpn, pte{frame: f, perm: dm.Perm &^ PermWrite})
 	return true
 }
 
@@ -832,45 +821,28 @@ func (r *Region) writeProtect(off uint32) {
 // armTrackRange sets the track bit on every installed PTE covering
 // [base, base+size) and masks write permission out of the matching TLB
 // slots (the PTEs keep theirs — see the pte type). Like FlushRange, it
-// iterates whichever of {range pages, installed PTEs} is smaller.
+// walks only the page table's allocated blocks.
 func (as *AddrSpace) armTrackRange(base, size uint32) {
 	if size == 0 {
 		return
 	}
-	first := mem.VPN(base)
-	last := mem.VPN(base + size - 1)
-	arm := func(vpn uint32) {
-		if e, ok := as.pt[vpn]; ok && !e.track {
-			e.track = true
-			as.pt[vpn] = e
-			if t := &as.tlb.Slots[vpn&as.tlb.Mask]; t.Perm&cpu.TLBWrite != 0 && t.VPN == vpn {
-				t.Perm &^= cpu.TLBWrite
-			}
-		}
-	}
-	if uint64(last-first)+1 > uint64(len(as.pt)) {
-		for vpn := range as.pt {
-			if vpn >= first && vpn <= last {
-				arm(vpn)
-			}
-		}
-		return
-	}
-	for vpn := first; ; vpn++ {
-		arm(vpn)
-		if vpn == last { // guard wrap-around
+	as.pt.walk(mem.VPN(base), mem.VPN(base+size-1), func(vpn uint32, e *pte) {
+		if e.track {
 			return
 		}
-	}
+		e.track = true
+		if t := &as.tlb.Slots[vpn&as.tlb.Mask]; t.Perm&cpu.TLBWrite != 0 && t.VPN == vpn {
+			t.Perm &^= cpu.TLBWrite
+		}
+	})
 }
 
 // writeProtectPage masks write permission out of the cached PTE and TLB
 // slot for the page containing va, if installed.
 func (as *AddrSpace) writeProtectPage(va uint32) {
 	vpn := mem.VPN(va)
-	if e, ok := as.pt[vpn]; ok && e.perm&PermWrite != 0 {
+	if e := as.pt.lookup(vpn); e != nil {
 		e.perm &^= PermWrite
-		as.pt[vpn] = e
 	}
 	if e := &as.tlb.Slots[vpn&as.tlb.Mask]; e.Perm&cpu.TLBWrite != 0 && e.VPN == vpn {
 		e.Perm &^= cpu.TLBWrite
@@ -879,18 +851,15 @@ func (as *AddrSpace) writeProtectPage(va uint32) {
 
 // HasPTE reports whether any PTE is installed for the page containing va
 // (regardless of permissions).
-func (as *AddrSpace) HasPTE(va uint32) bool {
-	_, ok := as.pt[mem.VPN(va)]
-	return ok
-}
+func (as *AddrSpace) HasPTE(va uint32) bool { return as.pt.lookup(mem.VPN(va)) != nil }
 
 // translate returns the frame and in-page offset for va, or a fault. A
 // successful translation refills the TLB slot for the page (unless fast
 // paths are disabled), exactly as a hardware page-table walk would.
 func (as *AddrSpace) translate(va uint32, acc cpu.Access) (*mem.Frame, uint32, *cpu.Fault) {
 	vpn := mem.VPN(va)
-	e, ok := as.pt[vpn]
-	if !ok || e.perm&needs(acc) == 0 {
+	e := as.pt.lookup(vpn)
+	if e == nil || e.perm&needs(acc) == 0 {
 		as.Faults++
 		return nil, 0, &cpu.Fault{VA: va, Access: acc}
 	}
@@ -899,7 +868,6 @@ func (as *AddrSpace) translate(va uint32, acc cpu.Access) (*mem.Frame, uint32, *
 		// disarm, then complete the access. No fault, no Faults count, no
 		// cycles — tracking is invisible to virtual time.
 		e.track = false
-		as.pt[vpn] = e
 		if m := as.MappingAt(va); m != nil {
 			m.Region.MarkDirty(m.regionOffFor(va))
 		}
@@ -917,14 +885,15 @@ func (as *AddrSpace) translate(va uint32, acc cpu.Access) (*mem.Frame, uint32, *
 }
 
 // probe is a non-faulting, non-filling translate: it checks the TLB then
-// the pt map without counting Faults or changing any cache state. The fast
-// paths use it so their translation probes are invisible to diagnostics.
+// the page table without counting Faults or changing any cache state. The
+// fast paths use it so their translation probes are invisible to
+// diagnostics.
 func (as *AddrSpace) probe(va uint32, acc cpu.Access) *mem.Frame {
 	vpn := mem.VPN(va)
 	if e := &as.tlb.Slots[vpn&as.tlb.Mask]; e.VPN == vpn && e.Perm&uint8(needs(acc)) != 0 {
 		return e.Frame
 	}
-	if e, ok := as.pt[vpn]; ok && e.perm&needs(acc) != 0 && !(e.track && acc == cpu.Write) {
+	if e := as.pt.lookup(vpn); e != nil && e.perm&needs(acc) != 0 && !(e.track && acc == cpu.Write) {
 		// An armed entry must not satisfy a write probe: DirectWindow
 		// would bypass the dirty log. The per-word fallback resolves the
 		// track bit through translate instead.

@@ -2,6 +2,7 @@ package workload_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -55,6 +56,43 @@ func TestMemtestCompletesAllConfigs(t *testing.T) {
 				t.Fatalf("hard faults = %d, want %d (one per page)", hard, bytes/4096)
 			}
 		})
+	}
+}
+
+// TestHardFaultAllocsPerPage bounds the host heap cost of memtest's
+// per-page path (hard fault, pager RPC, restart): the objects and bytes a
+// 4 608-page run allocates beyond a 512-page one, per extra page, must
+// stay within 4 objects and one page plus 128 B — the page's contents and
+// a few small headers. A one-make-per-frame allocator, or hash maps on
+// the fault path that grow with the pages touched, exceed it.
+func TestHardFaultAllocsPerPage(t *testing.T) {
+	const small, large = 512, 4608
+	measure := func(pages int) (objects, bytes uint64) {
+		objects, bytes = ^uint64(0), ^uint64(0)
+		for rep := 0; rep < 3; rep++ { // the least of three: runtime noise only adds
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			k := core.New(core.Config{Model: core.ModelInterrupt, Preempt: core.PreemptPartial, PhysFrames: 2 * large})
+			w, err := workload.NewMemtest(k, uint32(pages*mem.PageSize))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Run(testBudget); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			objects = min(objects, after.Mallocs-before.Mallocs)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+		return objects, bytes
+	}
+	o1, b1 := measure(small)
+	o2, b2 := measure(large)
+	perObj := float64(o2-o1) / (large - small)
+	perByte := float64(b2-b1) / (large - small)
+	t.Logf("per extra page: %.2f objects, %.0f B", perObj, perByte)
+	if perObj > 4 || perByte > mem.PageSize+128 {
+		t.Fatalf("per extra page: %.2f objects, %.0f B; want <= 4 objects and <= %d B", perObj, perByte, mem.PageSize+128)
 	}
 }
 

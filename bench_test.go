@@ -529,7 +529,7 @@ func BenchmarkNICDeliver64K(b *testing.B) {
 		b.Fatal(err)
 	}
 	dma.Populate(0, ring)
-	desc := ring.Data[dev.NICDescBytes:]
+	desc := alloc.Writable(ring)[dev.NICDescBytes:]
 	binary.LittleEndian.PutUint32(desc[dev.NICDescOff:], bufOff)
 	io := nic.QueueIO(0)
 	payload := bytes.Repeat([]byte{0x5A}, bufPages*mem.PageSize)

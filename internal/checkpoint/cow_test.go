@@ -45,8 +45,9 @@ func buildSharedSpace(t *testing.T, k *core.Kernel) (*obj.Space, uint32, uint32)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range f.Data {
-			f.Data[i] = byte(0x40 + int(page>>12) + i%7)
+		data := k.Alloc.Writable(f)
+		for i := range data {
+			data[i] = byte(0x40 + int(page>>12) + i%7)
 		}
 		ra.R.Populate(page, f)
 	}

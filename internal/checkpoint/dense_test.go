@@ -211,7 +211,7 @@ func TestMigrateHandsOverBuffers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				f.Data[i] = 0xEE // stale bytes a recycled frame must not keep
+				k.Alloc.Writable(f)[i] = 0xEE // stale bytes a recycled frame must not keep
 				fs = append(fs, f)
 			}
 			for _, f := range fs {
@@ -299,8 +299,9 @@ func TestRestoreLeavesImageReusable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range spacePages(s1) {
-		for i := range f.Data {
-			f.Data[i] = 0xA5
+		data := k1.Alloc.Writable(f)
+		for i := range data {
+			data[i] = 0xA5
 		}
 	}
 	k2 := core.New(cfg)

@@ -1077,7 +1077,7 @@ func (k *Kernel) exitThread(t *obj.Thread, code uint32) {
 	t.Exited = true
 	t.ExitCode = code
 	t.State = obj.ThDead
-	k.emit(trace.ThreadExit, code, 0)
+	k.emit(trace.ThreadExit, code, t.ID)
 	if k.Metrics != nil {
 		k.Metrics.ThreadsLive.Add(-1)
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"unsafe"
 
 	"repro/internal/clock"
@@ -556,13 +558,15 @@ func (k *Kernel) Shutdown() {
 	// Collect victims once rather than re-scanning the table per kill —
 	// the old loop was O(threads²), which shows at 64-CPU thread counts.
 	// DestroyThread can cascade (a dying thread wakes and kills waiters),
-	// so re-collect until the table is empty.
+	// so re-collect until the table is empty. Victims die in thread-ID
+	// order, not map order, so a shutdown is as reproducible as the run.
 	victims := make([]*obj.Thread, 0, len(k.threads))
 	for len(k.threads) > 0 {
 		victims = victims[:0]
 		for _, t := range k.threads {
 			victims = append(victims, t)
 		}
+		slices.SortFunc(victims, func(a, b *obj.Thread) int { return cmp.Compare(a.ID, b.ID) })
 		for _, t := range victims {
 			if _, live := k.threads[t.ID]; live {
 				k.DestroyThread(t)

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mem"
 	"repro/internal/mmu"
 	"repro/internal/obj"
 	"repro/internal/prog"
@@ -552,6 +553,84 @@ func TestLockModelIsTwoValued(t *testing.T) {
 	}
 	if err := (core.Config{LockModel: 2}).Validate(); err == nil {
 		t.Fatal("Config{LockModel: 2} accepted")
+	}
+}
+
+// TestParallelHostLazyFrames runs two spaces on two CPUs under
+// ParallelHost. The reader's loads fault in demand-zero pages that stay
+// unwritten, then it stores to each from user mode: the store misses the
+// read-only TLB entry and gives the frame its own page from StepN's slow
+// path, holding only the space's step lock. Meanwhile every store of the
+// writer faults in a fresh page, so the kernel allocates and fills frames
+// under the kernel lock. Under -race this checks that the allocator's
+// slab lock covers both; the memory checks that every store landed and
+// every load saw zeros.
+func TestParallelHostLazyFrames(t *testing.T) {
+	const (
+		lazyBase    = 0x0010_0000
+		readPages   = 256
+		writePages  = 1024
+		readerSum   = lazyBase + 4 // the reader's sum of loaded bytes, plus one
+		readerLimit = lazyBase + readPages*mem.PageSize
+		writerLimit = lazyBase + writePages*mem.PageSize
+	)
+	reader := prog.New(codeBase)
+	reader.Label("reader").Movi(4, lazyBase).Movi(7, readerLimit).Movi(6, 1).
+		Label("read").Ldb(5, 4, 0).Add(6, 6, 5).Addi(4, 4, mem.PageSize).Blt(4, 7, "read").
+		Movi(4, lazyBase).
+		Label("write").St(4, 0, 4).Addi(4, 4, mem.PageSize).Blt(4, 7, "write").
+		Movi(4, readerSum).St(4, 0, 6).Halt()
+	writer := prog.New(codeBase)
+	writer.Label("writer").Movi(4, lazyBase).Movi(7, writerLimit).
+		Label("write").St(4, 0, 4).Addi(4, 4, mem.PageSize).Blt(4, 7, "write").Halt()
+
+	for _, lm := range lockModels {
+		t.Run(fmt.Sprintf("lockmodel=%v", lm), func(t *testing.T) {
+			k := core.New(core.Config{
+				Model: core.ModelInterrupt, Preempt: core.PreemptPartial,
+				NumCPUs: 2, LockModel: lm, ParallelHost: true,
+			})
+			var threads []*obj.Thread
+			var spaces []*obj.Space
+			for _, b := range []*prog.Builder{reader, writer} {
+				s := k.NewSpace() // homes alternate: reader on CPU 0, writer on CPU 1
+				r, err := k.NewBoundRegion(s, kernelDataHandle(), writePages*mem.PageSize, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := k.MapInto(s, r, lazyBase, 0, writePages*mem.PageSize, mmu.PermRW); err != nil {
+					t.Fatal(err)
+				}
+				th, err := k.SpawnProgram(s, codeBase, b.MustAssemble(), 10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				threads, spaces = append(threads, th), append(spaces, s)
+			}
+			k.RunFor(8_000_000_000)
+			for i, th := range threads {
+				if !th.Exited {
+					t.Fatalf("thread %d did not exit (state=%v pc=%#x)", i, th.State, th.Regs.PC)
+				}
+			}
+			word := func(s *obj.Space, va uint32) uint32 {
+				b, err := k.ReadMem(s, va, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+			}
+			if got := word(spaces[0], readerSum); got != 1 {
+				t.Fatalf("reader's loads summed to %d, want 0 (all zeros)", got-1)
+			}
+			for i, pages := range []uint32{readPages, writePages} {
+				for p := uint32(0); p < pages; p++ {
+					if va := lazyBase + p*mem.PageSize; word(spaces[i], va) != va {
+						t.Fatalf("space %d page %d: word %#x, want its own address", i, p, word(spaces[i], va))
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -1,12 +1,14 @@
 package core_test
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/prog"
+	"repro/internal/trace"
 )
 
 // TestShutdownReleasesKernelStacks checks that Shutdown unwinds every
@@ -55,4 +57,34 @@ func TestShutdownReleasesKernelStacks(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestShutdownDestroysInThreadIDOrder: Shutdown kills its victims in
+// thread-ID order, not in the order the thread table's map iterates, so
+// the exit events it leaves (B = the exiting thread) ascend.
+func TestShutdownDestroysInThreadIDOrder(t *testing.T) {
+	for _, cfg := range []core.Config{{Model: core.ModelProcess}, {Model: core.ModelInterrupt}} {
+		e := newEnv(t, cfg)
+		b := prog.New(codeBase)
+		b.Label("sleeper").ThreadSleepUS(1 << 30).Halt()
+		if _, err := e.k.LoadImage(e.s, codeBase, b.MustAssemble()); err != nil {
+			t.Fatal(err)
+		}
+		var want []uint32
+		for i := 0; i < 16; i++ {
+			want = append(want, e.spawnAt(b.Addr("sleeper"), 10).ID)
+		}
+		e.k.RunFor(2_000_000)
+		e.k.Tracer = trace.NewRing(256)
+		e.k.Shutdown()
+		var got []uint32
+		for _, ev := range e.k.Tracer.Events() {
+			if ev.Kind == trace.ThreadExit {
+				got = append(got, ev.B)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%v: exit order %v, want %v", cfg.Model, got, want)
+		}
+	}
 }

@@ -204,7 +204,7 @@ func (d *BlockDevice) dmaWrite(off uint32, data []byte) error {
 			d.dma.Populate(po, f)
 		}
 		inPage := int(off) + i - int(po)
-		n := copy(f.Data[inPage:], data[i:])
+		n := copy(d.alloc.Writable(f)[inPage:], data[i:])
 		f.Bump()            // direct write: invalidate derived decodes
 		d.dma.MarkDirty(po) // DMA bypasses the MMU's dirty-page log too
 		i += n

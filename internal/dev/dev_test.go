@@ -74,8 +74,9 @@ func TestDeviceWriteDMA(t *testing.T) {
 	r := newRig(t, 8)
 	// Put data in the DMA region, write it to sector 5.
 	f, _ := r.alloc.Alloc()
-	for i := range f.Data[:dev.SectorSize] {
-		f.Data[i] = byte(i)
+	data := r.alloc.Writable(f)
+	for i := range data[:dev.SectorSize] {
+		data[i] = byte(i)
 	}
 	r.dma.Populate(0, f)
 	r.d.IOWrite32(dev.RegSector, 5)

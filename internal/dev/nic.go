@@ -552,7 +552,8 @@ func (n *NIC) raise(q *nicQueue) {
 // replaced (receivers keep the original frame) before the device
 // overwrites it. The replacement starts as a copy of the old contents
 // unless the caller promises to overwrite the whole page, in which case
-// the copy would be dead on arrival and is skipped.
+// the copy would be dead on arrival and is skipped. The frame may still
+// be unwritten, so the caller takes its bytes through Allocator.Writable.
 func (n *NIC) cowFrame(q *nicQueue, po uint32, wholePage bool) *mem.Frame {
 	// Every caller is about to write the returned frame, and device DMA
 	// bypasses the MMU's dirty-page log as well as its COW discipline, so
@@ -574,7 +575,7 @@ func (n *NIC) cowFrame(q *nicQueue, po uint32, wholePage bool) *mem.Frame {
 			panic(fmt.Sprintf("dev: NIC DMA out of memory at +%#x: %v", po, err))
 		}
 		if !wholePage {
-			copy(nf.Data, f.Data)
+			copy(n.alloc.Writable(nf), f.Data)
 		}
 		nf.Bump()
 		// Repoint, not Populate: watchers' translations are re-derived in
@@ -608,7 +609,7 @@ func (n *NIC) dmaWrite(q *nicQueue, off uint32, data []byte) {
 		po := mem.PageTrunc(off + uint32(i))
 		inPage := int(off) + i - int(po)
 		f := n.cowFrame(q, po, inPage == 0 && len(data)-i >= mem.PageSize)
-		m := copy(f.Data[inPage:], data[i:])
+		m := copy(n.alloc.Writable(f)[inPage:], data[i:])
 		f.Bump()
 		i += m
 	}
@@ -644,7 +645,7 @@ func (n *NIC) read32(q *nicQueue, off uint32) uint32 {
 
 func (n *NIC) write32(q *nicQueue, off uint32, v uint32) {
 	f := n.cowFrame(q, mem.PageTrunc(off), false)
-	b := f.Data[off&mem.PageMask:]
+	b := n.alloc.Writable(f)[off&mem.PageMask:]
 	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 	f.Bump()
 }

@@ -24,7 +24,7 @@ func refDMAWrite(n *NIC, q *nicQueue, off uint32, data []byte) {
 			q.cfg.DMA.Populate(po, f)
 		case f.Shared():
 			nf, _ := n.alloc.Alloc()
-			copy(nf.Data, f.Data)
+			copy(n.alloc.Writable(nf), f.Data)
 			nf.Bump()
 			n.alloc.Free(q.cfg.DMA.Repoint(po, nf))
 			q.c.Unshares++
@@ -32,7 +32,7 @@ func refDMAWrite(n *NIC, q *nicQueue, off uint32, data []byte) {
 		case f.Cow:
 			f.Cow = false
 		}
-		i += copy(f.Data[off+uint32(i)-po:], data[i:])
+		i += copy(n.alloc.Writable(f)[off+uint32(i)-po:], data[i:])
 		f.Bump()
 	}
 }
@@ -80,8 +80,9 @@ func newDMAWorld(t *testing.T, rot int) *dmaWorld {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range f.Data {
-			f.Data[i] = byte(0x80 | (p+i)&0x7F)
+		data := alloc.Writable(f)
+		for i := range data {
+			data[i] = byte(0x80 | (p+i)&0x7F)
 		}
 		dma.Populate(uint32(p)*mem.PageSize, f)
 		switch st {

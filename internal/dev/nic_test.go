@@ -72,7 +72,7 @@ func (r *nicRig) w32(off, v uint32) {
 		r.dma.Populate(mem.PageTrunc(off), nf)
 		f = nf
 	}
-	b := f.Data[off&mem.PageMask:]
+	b := r.alloc.Writable(f)[off&mem.PageMask:]
 	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 }
 
@@ -101,7 +101,7 @@ func (r *nicRig) putBytes(off uint32, data []byte) {
 		o := off + uint32(i)
 		r.w32(mem.PageTrunc(o), r.r32(mem.PageTrunc(o))) // ensure page
 		f := r.dma.FrameAt(mem.PageTrunc(o))
-		f.Data[o&mem.PageMask] = c
+		r.alloc.Writable(f)[o&mem.PageMask] = c
 	}
 }
 
@@ -114,7 +114,7 @@ func (r *nicRig) copyDMAFrom(src *nicRig) {
 			if err != nil {
 				r.t.Fatal(err)
 			}
-			copy(nf.Data, f.Data)
+			copy(r.alloc.Writable(nf), f.Data)
 			r.dma.Populate(off, nf)
 		}
 	}

@@ -6,6 +6,8 @@ package mem
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"unsafe"
 )
 
 // PageSize is the simulated page size in bytes (4 KB, as on the x86 the
@@ -22,7 +24,16 @@ const PageMask = PageSize - 1
 var ErrNoMemory = errors.New("mem: out of physical memory")
 
 // Frame is one physical page frame. The Data slice is the frame's contents;
-// it is always exactly PageSize bytes.
+// it is always exactly PageSize bytes (len == cap).
+//
+// Data is safe to read, never to write directly. A frame nobody has
+// written yet is unwritten: its Data aliases one page shared by every
+// such frame and mapped read-only from the host, so a missed write site
+// faults the process instead of corrupting every zero frame. Host
+// writers take the bytes from Allocator.Writable, which gives an
+// unwritten frame a page of its own first; the MMU never caches write
+// permission for an unwritten frame, so guest stores reach Writable
+// through its translate slow path.
 //
 // Gen is the frame's store-generation counter: every writer of Data must
 // bump it (the MMU store paths do; DMA engines and other host-side writers
@@ -49,8 +60,15 @@ type Frame struct {
 }
 
 // Bump invalidates content caches derived from this frame. Writers that
-// mutate Data directly (rather than through the MMU) must call it.
+// mutate its bytes directly (through Allocator.Writable rather than the
+// MMU's store paths) must call it.
 func (f *Frame) Bump() { f.Gen++ }
+
+// Unwritten reports whether f still aliases the shared zero page.
+func (f *Frame) Unwritten() bool { return unsafe.SliceData(f.Data) == unsafe.SliceData(zeroPage) }
+
+// zeroPage is the contents of every unwritten frame (see Frame).
+var zeroPage = mapZeroPage()
 
 // Shared reports whether more than one region slot holds the frame.
 func (f *Frame) Shared() bool { return f.Refs > 1 }
@@ -64,14 +82,20 @@ type Allocator struct {
 	inUse   int
 	peak    int
 
-	// slab is the uncarved tail of the backing array Alloc cuts grown
-	// frames' Data from; slabPages is the size of the last slab reserved
-	// (see carve).
+	// slab is the uncarved tail of the backing array Writable cuts
+	// frames' own pages from; slabPages is the size of the last slab
+	// reserved and carved the number of pages cut so far (see carve).
+	// slabMu guards the three: under ParallelHost a CPU's store slow path
+	// calls Writable holding only its space's step lock, so it can run
+	// alongside Alloc and Free (under the kernel lock) and another CPU's
+	// Writable.
+	slabMu    sync.Mutex
 	slab      []byte
 	slabPages int
+	carved    int
 }
 
-// slabMaxPages caps the slab Alloc reserves at once: 64 pages, 256 KiB.
+// slabMaxPages caps the slab Writable reserves at once: 64 pages, 256 KiB.
 const slabMaxPages = 64
 
 // DefaultFrames is the default physical memory size: 64 MB, matching the
@@ -90,7 +114,7 @@ func NewAllocator(maxFrames int) *Allocator {
 // take pops a recycled frame or grows the pool, and is the one place a
 // frame's bookkeeping (Refs, Cow, Gen, the in-use and peak counts) is set
 // up. Contents are the caller's business: a recycled frame still holds
-// its previous bytes, a grown one has no Data yet.
+// its previous bytes, a grown one is unwritten.
 func (a *Allocator) take() (*Frame, error) {
 	var f *Frame
 	if n := len(a.free); n > 0 {
@@ -104,7 +128,7 @@ func (a *Allocator) take() (*Frame, error) {
 		if a.inUse >= a.limit {
 			return nil, ErrNoMemory
 		}
-		f = &Frame{PFN: a.nextPFN, Refs: 1}
+		f = &Frame{PFN: a.nextPFN, Refs: 1, Data: zeroPage}
 		a.nextPFN++
 	}
 	a.inUse++
@@ -115,45 +139,65 @@ func (a *Allocator) take() (*Frame, error) {
 }
 
 // Alloc returns a zeroed page frame, or ErrNoMemory when the configured
-// physical memory is exhausted.
+// physical memory is exhausted. A grown frame is unwritten and costs no
+// page until Writable; a recycled one keeps its page, cleared.
 func (a *Allocator) Alloc() (*Frame, error) {
 	f, err := a.take()
 	if err != nil {
 		return nil, err
 	}
-	if f.Data == nil {
-		f.Data = a.carve()
-	} else {
+	if !f.Unwritten() {
 		clear(f.Data)
 	}
 	return f, nil
 }
 
-// carve returns a fresh zeroed page for a frame take just grew, cut from
-// a slab so growing costs one heap object per slab rather than per page.
-// Slabs double from one page up to slabMaxPages and never extend past the
-// frames the limit still allows, so the slabs together never reserve more
-// than limit pages. Each page is a three-index slice (len == cap ==
-// PageSize): no append through one frame can reach its neighbour. A slab
-// stays live while any frame cut from it does; frames never leave their
-// allocator, so that is as long as the allocator itself.
+// Writable returns f's contents for writing, first giving an unwritten
+// frame a zeroed page of its own. That changes no byte anyone can read,
+// so it bumps no Gen and is invisible to virtual time; writers still
+// bump Gen for what they write. f must be live and come from a.
+func (a *Allocator) Writable(f *Frame) []byte {
+	if f.Unwritten() {
+		a.materialize(f)
+	}
+	return f.Data
+}
+
+// materialize gives an unwritten frame its own zeroed page. It is
+// Writable's slow half, kept out of line so Writable inlines.
+func (a *Allocator) materialize(f *Frame) {
+	a.slabMu.Lock()
+	f.Data = a.carve()
+	a.slabMu.Unlock()
+}
+
+// carve returns a fresh zeroed page for a frame materialize fills, cut
+// from a slab so it costs one heap object per slab rather than per
+// page. Slabs double from one page up to slabMaxPages and never extend
+// past the pages the limit still allows: a frame keeps its page when
+// recycled, so at most limit frames ever take one, and the carved pages
+// plus the slab tail never exceed limit. Each page is a three-index
+// slice (len == cap == PageSize): no append through one frame can reach
+// its neighbour. A slab stays live while any frame cut from it does;
+// frames never leave their allocator, so that is as long as the
+// allocator itself. The caller holds slabMu.
 func (a *Allocator) carve() []byte {
 	if len(a.slab) == 0 {
-		// take has already counted this frame in nextPFN.
-		a.slabPages = min(max(2*a.slabPages, 1), slabMaxPages, a.limit-int(a.nextPFN)+1)
+		a.slabPages = min(max(2*a.slabPages, 1), slabMaxPages, a.limit-a.carved)
 		a.slab = make([]byte, a.slabPages*PageSize)
 	}
 	d := a.slab[:PageSize:PageSize]
 	a.slab = a.slab[PageSize:]
+	a.carved++
 	return d
 }
 
 // AllocFrom returns a frame holding the PageSize bytes of page, written
 // at most once: no zero-fill precedes the copy. With adopt set the
-// allocator takes ownership of the buffer — a grown frame uses page
-// itself as its Data, with no copy at all, and the caller must not touch
-// it again. (A recycled frame already owns a buffer and is copied into
-// either way.)
+// allocator takes ownership of the buffer — an unwritten frame (grown,
+// or recycled without ever being written) uses page itself as its Data,
+// with no copy at all, and the caller must not touch it again. (A frame
+// that owns a page is copied into either way.)
 func (a *Allocator) AllocFrom(page []byte, adopt bool) (*Frame, error) {
 	if len(page) != PageSize {
 		panic(fmt.Sprintf("mem: frame contents of %d bytes", len(page)))
@@ -163,7 +207,7 @@ func (a *Allocator) AllocFrom(page []byte, adopt bool) (*Frame, error) {
 		return nil, err
 	}
 	switch {
-	case f.Data != nil:
+	case !f.Unwritten():
 		copy(f.Data, page)
 	case adopt:
 		f.Data = page

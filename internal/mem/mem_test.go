@@ -25,7 +25,7 @@ func TestAllocZeroed(t *testing.T) {
 func TestReuseIsZeroed(t *testing.T) {
 	a := NewAllocator(1)
 	f, _ := a.Alloc()
-	f.Data[17] = 0xAB
+	a.Writable(f)[17] = 0xAB
 	a.Free(f)
 	g, err := a.Alloc()
 	if err != nil {
@@ -181,7 +181,7 @@ func TestShareRefcount(t *testing.T) {
 	if a.InUse() != 1 {
 		t.Fatalf("InUse=%d, want 1 (refs are not frames)", a.InUse())
 	}
-	f.Data[3] = 0x5a
+	a.Writable(f)[3] = 0x5a
 	a.Unshare(f)
 	a.Free(f)
 	if f.Refs != 1 || a.InUse() != 1 {
@@ -304,15 +304,24 @@ func TestAllocFromMatchesAlloc(t *testing.T) {
 	}
 }
 
-// TestSlabFramesIsolated pins the slab Alloc carves grown frames from.
-// Every frame is exactly one page (len == cap), so neither a write nor an
-// append through one frame reaches a neighbour cut from the same slab;
-// recycled frames come back zeroed; InUse, Peak and the ErrNoMemory point
-// are those of one allocation per frame, at limits below, at and past the
-// largest slab; and the slabs never reserve more pages than the limit.
+// TestSlabFramesIsolated pins the lazy-frame contract at limits below,
+// at and past the largest slab. Unwritten frames read as zeros and share
+// no byte with a written one; a frame Writable materializes is exactly
+// one slab page (len == cap), so neither a write nor an append through
+// it reaches a neighbour; recycled frames come back zeroed, written or
+// not; InUse, Peak and the ErrNoMemory point are those of one allocation
+// per frame; and the carved pages plus the slab tail never exceed the
+// limit, however many frames are written or recycled.
 func TestSlabFramesIsolated(t *testing.T) {
+	zero := make([]byte, PageSize)
 	for _, limit := range []int{1, 3, 8, 64, 65, 200} {
 		a := NewAllocator(limit)
+		checkReserved := func(when string) {
+			t.Helper()
+			if reserved := a.carved + len(a.slab)/PageSize; reserved > limit {
+				t.Fatalf("limit %d: %d pages carved or reserved %s", limit, reserved, when)
+			}
+		}
 		var frames []*Frame
 		for {
 			f, err := a.Alloc()
@@ -322,37 +331,47 @@ func TestSlabFramesIsolated(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(f.Data) != PageSize || cap(f.Data) != PageSize {
-				t.Fatalf("limit %d: frame %d has len %d cap %d, want both %d", limit, f.PFN, len(f.Data), cap(f.Data), PageSize)
+			if !f.Unwritten() || len(f.Data) != PageSize || cap(f.Data) != PageSize {
+				t.Fatalf("limit %d: fresh frame %d: unwritten %v, len %d cap %d", limit, f.PFN, f.Unwritten(), len(f.Data), cap(f.Data))
 			}
 			frames = append(frames, f)
-			if reserved := int(a.nextPFN) + len(a.slab)/PageSize; reserved > limit {
-				t.Fatalf("limit %d: %d pages reserved after %d frames", limit, reserved, len(frames))
-			}
 			if a.InUse() != len(frames) || a.Peak() != len(frames) {
 				t.Fatalf("limit %d: InUse/Peak %d/%d after %d allocs", limit, a.InUse(), a.Peak(), len(frames))
 			}
 		}
-		if len(frames) != limit {
-			t.Fatalf("limit %d: ErrNoMemory after %d frames", limit, len(frames))
+		if len(frames) != limit || a.carved != 0 {
+			t.Fatalf("limit %d: ErrNoMemory after %d frames, %d pages carved", limit, len(frames), a.carved)
 		}
-		for i, f := range frames {
-			for j := range f.Data {
-				f.Data[j] = byte(i + 1)
+		// Write every other frame, each with its own byte.
+		for i := 0; i < limit; i += 2 {
+			d := a.Writable(frames[i])
+			if frames[i].Unwritten() || len(d) != PageSize || cap(d) != PageSize || &d[0] != &frames[i].Data[0] {
+				t.Fatalf("limit %d: written frame %d: unwritten %v, len %d cap %d", limit, i, frames[i].Unwritten(), len(d), cap(d))
 			}
+			for j := range d {
+				d[j] = byte(i + 1)
+			}
+			checkReserved("after a write")
 		}
 		for i, f := range frames {
+			if i%2 == 1 {
+				if !f.Unwritten() || string(f.Data) != string(zero) {
+					t.Fatalf("limit %d: unwritten frame %d does not read as zeros", limit, i)
+				}
+				continue
+			}
 			if g := append(f.Data, 0xEE); &g[0] == &f.Data[0] {
 				t.Fatalf("limit %d: append through frame %d grew in place", limit, i)
 			}
-		}
-		for i, f := range frames {
 			for j, b := range f.Data {
 				if b != byte(i+1) {
 					t.Fatalf("limit %d: frame %d byte %d = %#x, want %#x: a neighbour wrote into it", limit, i, j, b, byte(i+1))
 				}
 			}
 		}
+		// Free the first half, written and unwritten alike; every frame
+		// that comes back reads as zeros and keeps what it had: a page of
+		// its own, or none.
 		half := frames[:limit/2]
 		for _, f := range half {
 			a.Free(f)
@@ -360,19 +379,29 @@ func TestSlabFramesIsolated(t *testing.T) {
 		if a.InUse() != limit-len(half) || a.Peak() != limit {
 			t.Fatalf("limit %d: InUse/Peak %d/%d after freeing %d", limit, a.InUse(), a.Peak(), len(half))
 		}
+		carved := a.carved
 		for range half {
 			f, err := a.Alloc()
 			if err != nil {
 				t.Fatalf("limit %d: realloc: %v", limit, err)
 			}
-			for j, b := range f.Data {
-				if b != 0 {
-					t.Fatalf("limit %d: recycled frame %d byte %d = %#x", limit, f.PFN, j, b)
-				}
+			if string(f.Data) != string(zero) {
+				t.Fatalf("limit %d: recycled frame %d does not read as zeros", limit, f.PFN)
 			}
+		}
+		if a.carved != carved {
+			t.Fatalf("limit %d: recycling carved %d pages", limit, a.carved-carved)
 		}
 		if _, err := a.Alloc(); err != ErrNoMemory || a.InUse() != limit || a.Peak() != limit {
 			t.Fatalf("limit %d: full again: err %v, InUse/Peak %d/%d", limit, err, a.InUse(), a.Peak())
+		}
+		// Write them all: one page each, within the limit.
+		for _, f := range frames {
+			a.Writable(f)[PageSize-1] = 1
+			checkReserved("writing every frame")
+		}
+		if a.carved != limit {
+			t.Fatalf("limit %d: %d pages carved for %d written frames", limit, a.carved, limit)
 		}
 	}
 }

@@ -54,7 +54,7 @@ func TestEvictFlushesDerivedTranslations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nf.Data[0] = 0x5A
+	alloc.Writable(nf)[0] = 0x5A
 	nf.Bump()
 	r.Populate(0, nf)
 	if err := as1.ResolveSoft(0x10000, cpu.Read); err != nil {
@@ -77,7 +77,7 @@ func TestPopulateReplacementFlushes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nf.Data[0] = 7
+	as.Allocator().Writable(nf)[0] = 7
 	nf.Bump()
 	old := r.Populate(0, nf)
 	if old == nil {

@@ -546,8 +546,9 @@ func (d *repointDev) IORead32(off uint32) uint32 {
 		if err != nil {
 			panic(err)
 		}
-		for i := range f.Data {
-			f.Data[i] = byte(d.reads)
+		data := d.as.Allocator().Writable(f)
+		for i := range data {
+			data[i] = byte(d.reads)
 		}
 		if old := d.r.Repoint(0, f); old != nil {
 			d.as.Allocator().Free(old)

@@ -660,8 +660,10 @@ func (as *AddrSpace) Classify(va uint32, acc cpu.Access) (FaultClass, *Mapping) 
 }
 
 // ResolveSoft installs the PTE for a soft fault at va, materializing a
-// demand-zero frame in the region if needed. Classify must have returned
-// FaultSoft for the same access.
+// demand-zero frame in the region if needed. A write access also gives
+// the frame its own page (mem.Allocator.Writable), since the store it
+// restarts is about to write it. Classify must have returned FaultSoft
+// for the same access.
 func (as *AddrSpace) ResolveSoft(va uint32, acc cpu.Access) error {
 	m := as.MappingAt(va)
 	if m == nil {
@@ -679,6 +681,9 @@ func (as *AddrSpace) ResolveSoft(va uint32, acc cpu.Access) error {
 			return err
 		}
 		m.Region.Populate(off, f)
+	}
+	if acc == cpu.Write {
+		as.alloc.Writable(f)
 	}
 	perm := m.Perm
 	if f.Cow {
@@ -719,7 +724,7 @@ func (as *AddrSpace) ResolveCOW(va uint32) (copied bool, err error) {
 		if aerr != nil {
 			return false, aerr
 		}
-		copy(nf.Data, f.Data)
+		copy(as.alloc.Writable(nf), f.Data)
 		nf.Bump()
 		m.Region.Populate(off, nf) // flushes derived translations everywhere
 		as.alloc.Free(f)           // drop this region's reference
@@ -855,7 +860,10 @@ func (as *AddrSpace) HasPTE(va uint32) bool { return as.pt.lookup(mem.VPN(va)) !
 
 // translate returns the frame and in-page offset for va, or a fault. A
 // successful translation refills the TLB slot for the page (unless fast
-// paths are disabled), exactly as a hardware page-table walk would.
+// paths are disabled), exactly as a hardware page-table walk would. A
+// store gives an unwritten frame its own page first; every other access
+// refills without write permission while the frame is unwritten, so the
+// first store through the TLB misses and comes back here.
 func (as *AddrSpace) translate(va uint32, acc cpu.Access) (*mem.Frame, uint32, *cpu.Fault) {
 	vpn := mem.VPN(va)
 	e := as.pt.lookup(vpn)
@@ -872,11 +880,16 @@ func (as *AddrSpace) translate(va uint32, acc cpu.Access) (*mem.Frame, uint32, *
 			m.Region.MarkDirty(m.regionOffFor(va))
 		}
 	}
+	if acc == cpu.Write {
+		as.alloc.Writable(e.frame)
+	}
 	if !as.noFast {
 		perm := e.perm
-		if e.track {
+		if e.track || e.frame.Unwritten() {
 			// Refill without write permission while armed, so a later
-			// store cannot hit the TLB and bypass the dirty log.
+			// store cannot hit the TLB and bypass the dirty log, or
+			// while the frame is unwritten, so it cannot write the
+			// shared zero page.
 			perm &^= PermWrite
 		}
 		as.tlb.Slots[vpn&as.tlb.Mask] = cpu.TLBEntry{VPN: vpn, Perm: uint8(perm), Frame: e.frame}
@@ -1037,8 +1050,8 @@ func (as *AddrSpace) DecodedPageFor(pc uint32) *cpu.DecodedPage {
 // granting acc, or max == 0). A device register page never has a
 // translation, so it never yields a window and its words reach the
 // IOHandler one by one; every other page of a driver space does. A write
-// window bumps the frame's store generation so decoded-instruction caches
-// stay coherent. Callers must re-request the window after anything that
+// window gives an unwritten frame its own page and bumps the frame's
+// store generation so decoded-instruction caches stay coherent. Callers must re-request the window after anything that
 // can change translations (faults, scheduling).
 func (as *AddrSpace) DirectWindow(va uint32, acc cpu.Access, max uint32) []byte {
 	if as.noFast || max == 0 {
@@ -1053,10 +1066,12 @@ func (as *AddrSpace) DirectWindow(va uint32, acc cpu.Access, max uint32) []byte 
 	if n > max {
 		n = max
 	}
+	d := f.Data
 	if acc == cpu.Write {
+		d = as.alloc.Writable(f)
 		f.Bump()
 	}
-	return f.Data[off : off+n]
+	return d[off : off+n]
 }
 
 var _ cpu.Memory = (*AddrSpace)(nil)

@@ -139,7 +139,7 @@ func TestHardFaultClassification(t *testing.T) {
 	}
 	// Once the pager populates the page, the same fault becomes soft.
 	f, _ := as.Allocator().Alloc()
-	f.Data[0] = 0x5A
+	as.Allocator().Writable(f)[0] = 0x5A
 	r.Populate(0, f)
 	cl, _ = as.Classify(0x40000, cpu.Read)
 	if cl != FaultSoft {

@@ -204,9 +204,11 @@ func ExportJSONMeta(w io.Writer, events []Event, meta map[string]string) error {
 		}
 	}
 	// Syscalls still in flight when the ring was captured: instants, so
-	// the viewer shows them without an unbalanced begin.
-	for _, stack := range open {
-		for _, enter := range stack {
+	// the viewer shows them without an unbalanced begin. They go out in
+	// track order, so the stable sort below keeps equal timestamps in an
+	// order that does not depend on map iteration.
+	for _, tr := range sortedTracks {
+		for _, enter := range open[tr] {
 			out = append(out, instant(enter, "sys+ "+sys.Name(int(enter.A)),
 				map[string]string{"note": "still in flight"}))
 		}

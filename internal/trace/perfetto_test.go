@@ -161,3 +161,30 @@ func TestExportJSONFromWrappedRing(t *testing.T) {
 		t.Fatalf("otherData.retainedEvents = %q, want \"8\"", got)
 	}
 }
+
+// TestExportJSONInFlightDeterministic exports a two-track ring whose
+// syscalls are both still in flight at the same timestamp, 50 times: the
+// in-flight instants must come out in one order every time, not in the
+// order a map of open syscalls happens to iterate.
+func TestExportJSONInFlightDeterministic(t *testing.T) {
+	r := NewRing(16)
+	r.Add(Event{Time: 100, CPU: 0, TID: 1, Kind: SyscallEnter, A: uint32(sys.NMutexLock)})
+	r.Add(Event{Time: 100, CPU: 1, TID: 2, Kind: SyscallEnter, A: uint32(sys.NThreadSleep)})
+	var first []byte
+	for i := 0; i < 50; i++ {
+		var buf bytes.Buffer
+		if err := r.ExportJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = buf.Bytes()
+			continue
+		}
+		if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("export %d differs from the first:\n%s\nvs\n%s", i, buf.Bytes(), first)
+		}
+	}
+	if !bytes.Contains(first, []byte("still in flight")) {
+		t.Fatal("the in-flight syscalls were not exported")
+	}
+}

@@ -30,7 +30,9 @@ const (
 	Wake
 	// Preempt: A = 0 user boundary, 1 explicit point, 2 in-kernel (FP).
 	Preempt
-	// ThreadExit: A = exit code.
+	// ThreadExit: A = exit code, B = the exiting thread's ID (TID is the
+	// thread that was running, which differs when one thread destroys
+	// another, or is 0 during Kernel.Shutdown).
 	ThreadExit
 	// IRQ: A = line.
 	IRQ

@@ -575,17 +575,16 @@ func BenchmarkInterpreter(b *testing.B) {
 }
 
 // BenchmarkInterpreterProfiled is the same hot loop with the cycle
-// profiler attributing every charged cycle — the bench.sh comparison
-// against BenchmarkInterpreter measures the profiler's host-side
-// overhead (virtual time is identical by TestProfilerEquivalence).
+// profiler attributing every charged cycle — compared against
+// BenchmarkInterpreter, it measures the profiler's host-side overhead
+// (virtual time is identical by TestProfilerEquivalence).
 func BenchmarkInterpreterProfiled(b *testing.B) {
 	benchInterpreter(b, core.Config{Model: core.ModelInterrupt, EnableProfiler: true})
 }
 
 // BenchmarkInterpreterDecodeCache is the same counted loop with the
 // threaded-code tier off — the decode-cache tier alone. The ratio
-// against BenchmarkInterpreter is the fused-block speedup; bench.sh
-// records both and the CI smoke asserts the fused tier stays ahead.
+// against BenchmarkInterpreter is the fused-block speedup.
 func BenchmarkInterpreterDecodeCache(b *testing.B) {
 	benchInterpreter(b, core.Config{Model: core.ModelInterrupt, DisableThreadedCode: true})
 }

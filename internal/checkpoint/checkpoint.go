@@ -304,15 +304,16 @@ func captureStruct(k *core.Kernel, s *obj.Space, c *memCap) (threads []ThreadRec
 		})
 	}
 
-	for _, va := range handleOrder(s) {
-		o := s.Objects[va]
+	// In VA order, so an image (and the order a restore starts threads
+	// in) is a function of kernel state alone.
+	s.Each(func(va uint32, o obj.Obj) {
 		h := o.Hdr()
 		if h.Dead {
-			continue
+			return
 		}
 		switch x := o.(type) {
 		case *obj.Space:
-			continue // the self handle is rebuilt
+			return // the self handle is rebuilt
 		case *obj.Thread:
 			st := core.EncodeThreadState(x)
 			if !preStopped[x] {
@@ -357,21 +358,8 @@ func captureStruct(k *core.Kernel, s *obj.Space, c *memCap) (threads []ThreadRec
 			}
 			objects = append(objects, rec)
 		}
-	}
+	})
 	return threads, objects, mappings
-}
-
-// handleOrder returns s's handle VAs in ascending order. Walking the
-// handle table in this order, not Go's map order, makes an image — and so
-// the threads a restore creates and starts, in its order — a function of
-// kernel state alone.
-func handleOrder(s *obj.Space) []uint32 {
-	vas := make([]uint32, 0, len(s.Objects))
-	for va := range s.Objects {
-		vas = append(vas, va)
-	}
-	slices.Sort(vas)
-	return vas
 }
 
 // CaptureWithNIC is Capture plus the device-side state of a NIC whose

@@ -279,11 +279,11 @@ func walkRegions(s *obj.Space, c *memCap) {
 		}
 		c.regionOf(m.Region)
 	}
-	for _, va := range handleOrder(s) {
-		if r, ok := s.Objects[va].(*obj.Region); ok && !r.Hdr().Dead {
+	s.Each(func(_ uint32, o obj.Obj) {
+		if r, ok := o.(*obj.Region); ok && !r.Hdr().Dead {
 			c.regionOf(r.R)
 		}
-	}
+	})
 }
 
 // SnapshotMemory captures only the memory of s — no thread is stopped,

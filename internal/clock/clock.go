@@ -73,9 +73,6 @@ func New() *Clock {
 // Now returns the current virtual time in cycles.
 func (c *Clock) Now() uint64 { return c.now }
 
-// NowMicros returns the current virtual time in microseconds.
-func (c *Clock) NowMicros() float64 { return Micros(c.now) }
-
 // After registers a callback to fire delta cycles from now and returns the
 // timer so it can be cancelled.
 func (c *Clock) After(delta uint64, fn func(now uint64)) *Timer {

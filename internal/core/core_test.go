@@ -423,23 +423,47 @@ func TestSoftFaultRestartsShortSyscall(t *testing.T) {
 	})
 }
 
+// TestRegionSearchFindsHandle checks that region_search returns the lowest
+// handle in its range, whatever order the handles were bound in and
+// however many chunk stages the search crosses first.
 func TestRegionSearchFindsHandle(t *testing.T) {
-	e := newEnv(t, core.Config{Model: core.ModelInterrupt})
-	const mtx = dataBase + 0x300
-	b := prog.New(codeBase)
-	b.MutexCreate(mtx).
-		RegionSearch(dataBase, dataSize).
-		Movi(6, dataBase).St(6, 0, 1). // found VA
-		RegionSearch(dataBase+0x400, dataSize-0x400).
-		Movi(6, dataBase).St(6, 4, 0). // errno (ENOTFOUND)
-		Halt()
-	th := e.spawn(t, b, 10)
-	e.run(t, 100_000_000, th)
-	if got := e.word(t, dataBase); got != mtx {
-		t.Fatalf("region_search found %#x, want %#x", got, mtx)
-	}
-	if got := e.word(t, dataBase+4); got != uint32(sys.ENOTFOUND) {
-		t.Fatalf("empty search errno = %v, want ENOTFOUND", sys.Errno(got))
+	descending := []uint32{dataBase + 0x300, dataBase + 0x200, dataBase + 0x100}
+	for _, tc := range []struct {
+		name          string
+		mutexes       []uint32 // created in this order
+		start, length uint32
+		want          uint32 // the handle found, or 0 for ENOTFOUND
+	}{
+		{"one handle", []uint32{dataBase + 0x300}, dataBase, dataSize, dataBase + 0x300},
+		{"lowest of handles bound in descending order", descending, dataBase, dataSize, dataBase + 0x100},
+		{"start between two handles", descending, dataBase + 0x104, dataSize - 0x104, dataBase + 0x200},
+		{"start on a handle", descending, dataBase + 0x200, dataSize - 0x200, dataBase + 0x200},
+		{"range ends just below a handle", descending, dataBase + 0x104, 0xFC, 0},
+		{"no handle above the last", descending, dataBase + 0x304, dataSize - 0x304, 0},
+		// The next handles up are in the kernel window, about a thousand
+		// stages on; the space's self handle at its base is the lowest.
+		{"lowest match past the first stage", descending, dataBase + 0x304, 1<<32 - (dataBase + 0x304), core.KObjBase},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t, core.Config{Model: core.ModelInterrupt})
+			b := prog.New(codeBase)
+			for _, va := range tc.mutexes {
+				b.MutexCreate(va)
+			}
+			b.RegionSearch(tc.start, tc.length).
+				Movi(6, dataBase).St(6, 0, 0). // errno
+				St(6, 4, 1).                   // found VA
+				Halt()
+			th := e.spawn(t, b, 10)
+			e.run(t, 1_000_000_000, th)
+			errno, got := sys.Errno(e.word(t, dataBase)), e.word(t, dataBase+4)
+			switch {
+			case tc.want == 0 && errno != sys.ENOTFOUND:
+				t.Fatalf("region_search = %v (R1 %#x), want ENOTFOUND", errno, got)
+			case tc.want != 0 && (errno != sys.EOK || got != tc.want):
+				t.Fatalf("region_search = %v, found %#x, want %#x", errno, got, tc.want)
+			}
+		})
 	}
 }
 

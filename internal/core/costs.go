@@ -1,7 +1,5 @@
 package core
 
-import "repro/internal/clock"
-
 // The kernel cost model, in cycles of the simulated 200 MHz processor
 // (200 cycles = 1 µs). Constants are calibrated so the regenerated tables
 // land near the paper's published numbers; EXPERIMENTS.md records the
@@ -153,6 +151,3 @@ const (
 	// CycGetSetState is the cost of marshaling a thread state frame.
 	CycGetSetState = 150
 )
-
-// MicrosOf converts cycles to microseconds (convenience re-export).
-func MicrosOf(cycles uint64) float64 { return clock.Micros(cycles) }

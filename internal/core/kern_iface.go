@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/cpu"
 	"repro/internal/obj"
 	"repro/internal/sys"
 )
@@ -20,17 +19,8 @@ func (k *Kernel) ObjAt(t *obj.Thread, va uint32, want sys.ObjType, allowDead boo
 	return k.objAt(t, va, want, allowDead)
 }
 
-// FaultOut records a user-memory fault for the dispatch layer to remedy;
-// the syscall restarts from its rolled-forward registers afterwards.
-func (k *Kernel) FaultOut(t *obj.Thread, spc *obj.Space, f *cpu.Fault) sys.KErr {
-	return k.faultOut(t, spc, f)
-}
-
 // CountInterrupt records a consumed thread_interrupt (EINTR delivery).
 func (k *Kernel) CountInterrupt() { k.cur.stats.Interrupts++ }
-
-// ModelName reports the kernel's configuration label (e.g. "Process NP").
-func (k *Kernel) ModelName() string { return k.cfg.Name() }
 
 // Settle drives a thread preempted mid-kernel (full-preemption process
 // model) to a clean boundary so its exported state is consistent. It is a

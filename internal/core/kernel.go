@@ -316,14 +316,18 @@ func (k *Kernel) ExecStats() cpu.ExecStats {
 	return total
 }
 
-// kernelHandleVA hands out slots in the reserved handle window.
+// kernelHandleVA hands out the lowest free slot in the reserved handle window.
 func kernelHandleVA(s *obj.Space) uint32 {
-	for va := KObjBase + 4; va < KObjBase+KObjPages*mem.PageSize; va += 4 {
-		if s.At(va) == nil {
-			return va
+	va := KObjBase + 4
+	s.Walk(va, KObjPages*mem.PageSize-4, func(h uint32, _ obj.Obj) {
+		if h == va {
+			va += 4 // taken; the handles are in VA order
 		}
+	})
+	if va == KObjBase+KObjPages*mem.PageSize {
+		panic("core: kernel handle window exhausted")
 	}
-	panic("core: kernel handle window exhausted")
+	return va
 }
 
 // NewThread creates a thread in space s at the given priority, bound into
@@ -597,12 +601,6 @@ func (k *Kernel) MemOverhead() (tcb, stack, total int) {
 		stack = k.cfg.KernelStackSize
 	}
 	return tcb, stack, tcb + stack
-}
-
-// KernelStackBytes returns the total bytes in kernel stacks right now:
-// stacks * configured stack size.
-func (k *Kernel) KernelStackBytes() int {
-	return k.stacksInUse * k.cfg.KernelStackSize
 }
 
 // StacksInUse returns the number of live kernel stacks.

@@ -179,7 +179,7 @@ func (k *Kernel) opGetState(t *obj.Thread, ot sys.ObjType) sys.KErr {
 		}
 		words = []uint32{uint32(len(x.Ports)), pending}
 	case *obj.Space:
-		words = []uint32{uint32(len(x.Objects)), uint32(len(x.Threads))}
+		words = []uint32{uint32(x.Len()), uint32(len(x.Threads))}
 	case *obj.Ref:
 		tt := uint32(0)
 		if x.Target != nil {

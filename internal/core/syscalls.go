@@ -397,10 +397,8 @@ func (k *Kernel) destroySpace(t *obj.Thread, s *obj.Space) sys.KErr {
 		k.DestroyThread(th)
 	}
 	k.wakeAll(&s.ReapWaiters)
-	for va, o := range s.Objects {
-		o.Hdr().Dead = true
-		delete(s.Objects, va)
-	}
+	s.Each(func(_ uint32, o obj.Obj) { o.Hdr().Dead = true })
+	s.Clear()
 	// The space handle stays bound (dead) in the caller's space so
 	// space_reap_wait restarts still resolve it — the same rule as dead
 	// thread handles for thread_wait.

@@ -680,16 +680,13 @@ func (k *Kernel) sysRegionSearch(t *obj.Thread) sys.KErr {
 		oldTag := profTag(t, profile.PathRegionSearch)
 		k.ChargeKernel(uint64(pages) * CycRegionSearchPage)
 		profRestore(t, oldTag)
-		var best uint32
 		found := false
-		for va := range t.Space.Objects {
-			if va >= start && va-start < chunk && (!found || va < best) {
-				best = va
-				found = true
+		t.Space.Walk(start, chunk, func(va uint32, _ obj.Obj) {
+			if !found {
+				t.Regs.R[1], found = va, true // the lowest handle
 			}
-		}
+		})
 		if found {
-			t.Regs.R[1] = best
 			t.Regs.R[2] = 0
 			k.Return(t, sys.EOK)
 			return sys.KOK

@@ -259,12 +259,6 @@ func NewNIC(alloc *mem.Allocator, coalesce bool, irqLatency uint64, queues []NIC
 	return n, nil
 }
 
-// Queues returns the queue count.
-func (n *NIC) Queues() int { return len(n.qs) }
-
-// Coalescing reports the interrupt discipline the device was built with.
-func (n *NIC) Coalescing() bool { return n.coalesce }
-
 // QueueCounters returns queue q's accounting.
 func (n *NIC) QueueCounters(q int) NICCounters {
 	n.qs[q].mu.Lock()

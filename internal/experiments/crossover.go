@@ -13,9 +13,8 @@ import (
 // throughput, not fixed-work runtime: the big lock flattens at once,
 // and the fine model — per-run-queue and per-space lock instances —
 // keeps scaling because cross-CPU wakes and disjoint spaces never
-// funnel through a global lock. (BENCH_PR8.json, the archived first
-// run of this sweep, carries a third curve for a since-deleted
-// per-subsystem model.)
+// funnel through a global lock. (The first run of this sweep carried a
+// third curve, for a since-deleted per-subsystem lock model.)
 
 // CrossoverRow is one (workload, CPUs, lock model) cell.
 type CrossoverRow struct {

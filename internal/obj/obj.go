@@ -5,13 +5,14 @@
 // As in Fluke, kernel objects are named by virtual addresses: an object is
 // "mapped into the address space of an application with the virtual
 // address serving as the handle" (§4.3, footnote 3). A Space therefore
-// carries a handle table from VA to object; syscalls resolve handles
-// through it, faulting (and restarting) if the handle's page is not
-// mapped.
+// carries a handle table from VA to object, walked only in VA order;
+// syscalls resolve handles through it, faulting (and restarting) if the
+// handle's page is not mapped.
 package obj
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/clock"
@@ -480,11 +481,11 @@ type Ref struct {
 }
 
 // Space associates memory and threads (paper Table 2). It owns the handle
-// table mapping virtual addresses to kernel objects.
+// table binding virtual addresses to kernel objects.
 type Space struct {
 	Header
 	AS      *mmu.AddrSpace
-	Objects map[uint32]Obj
+	handles []handle // sorted by va
 	Threads []*Thread
 	// HomeCPU is the simulated CPU this space's threads are pinned to in
 	// ParallelHost mode (threads of one space never step concurrently);
@@ -505,11 +506,30 @@ type Space struct {
 	LockSlot int
 }
 
+type handle struct {
+	va uint32
+	o  Obj
+}
+
 // NewSpace creates an empty space over the given address space.
 func NewSpace(as *mmu.AddrSpace) *Space {
-	s := &Space{AS: as, Objects: make(map[uint32]Obj)}
+	s := &Space{AS: as}
 	s.Header = Header{Type: sys.ObjSpace, Owner: s}
 	return s
+}
+
+// search returns the index of the first handle at or above va, and
+// whether va is bound there.
+func (s *Space) search(va uint32) (int, bool) {
+	lo, hi := 0, len(s.handles)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); s.handles[m].va < va {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(s.handles) && s.handles[lo].va == va
 }
 
 // Insert binds an object to handle va in the space. The handle must be
@@ -518,33 +538,60 @@ func (s *Space) Insert(va uint32, o Obj) sys.Errno {
 	if va%4 != 0 {
 		return sys.EINVAL
 	}
-	if _, exists := s.Objects[va]; exists {
+	i, bound := s.search(va)
+	if bound {
 		return sys.EBUSY
 	}
 	h := o.Hdr()
 	h.VA = va
 	h.Owner = s
-	s.Objects[va] = o
+	s.handles = slices.Insert(s.handles, i, handle{va, o})
 	return sys.EOK
 }
 
 // Remove unbinds the handle at va.
 func (s *Space) Remove(va uint32) {
-	delete(s.Objects, va)
+	if i, bound := s.search(va); bound {
+		s.handles = slices.Delete(s.handles, i, i+1)
+	}
 }
+
+// Clear unbinds every handle.
+func (s *Space) Clear() { s.handles = nil }
 
 // At returns the object bound at va, or nil. Note: the *kernel's* handle
 // resolution additionally requires the page holding va to be mapped (see
 // core's objAt), which is what makes "short" syscalls fault and restart.
 func (s *Space) At(va uint32) Obj {
-	return s.Objects[va]
+	if i, bound := s.search(va); bound {
+		return s.handles[i].o
+	}
+	return nil
+}
+
+// Len returns the number of bound handles, dead objects included.
+func (s *Space) Len() int { return len(s.handles) }
+
+// Each calls fn for every bound handle in ascending VA order.
+func (s *Space) Each(fn func(va uint32, o Obj)) {
+	for _, h := range s.handles {
+		fn(h.va, h.o)
+	}
+}
+
+// Walk calls fn for every handle bound in [lo, lo+n), in ascending VA
+// order; the range may end at 2^32.
+func (s *Space) Walk(lo, n uint32, fn func(va uint32, o Obj)) {
+	for i, _ := s.search(lo); i < len(s.handles) && s.handles[i].va-lo < n; i++ {
+		fn(s.handles[i].va, s.handles[i].o)
+	}
 }
 
 // ObjectsOfType counts live objects of type t in the space.
 func (s *Space) ObjectsOfType(t sys.ObjType) int {
 	n := 0
-	for _, o := range s.Objects {
-		if o.Hdr().Type == t && !o.Hdr().Dead {
+	for _, h := range s.handles {
+		if h.o.Hdr().Type == t && !h.o.Hdr().Dead {
 			n++
 		}
 	}

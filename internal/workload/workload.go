@@ -71,12 +71,3 @@ func (w *Workload) RunPolling(budget uint64, poll func()) (uint64, error) {
 	}
 	return w.K.Clock.Now() - start, nil
 }
-
-// MustRun is Run panicking on failure (benchmark harness use).
-func (w *Workload) MustRun(budget uint64) uint64 {
-	n, err := w.Run(budget)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}

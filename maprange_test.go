@@ -21,20 +21,16 @@ import (
 // anything else a run reproduces. Go randomizes map order, so a new site
 // must sort its keys first or earn an entry here.
 var mapRangeAllowed = map[string]string{
-	"internal/checkpoint/checkpoint.go handleOrder: range s.Objects":    "collects the handle VAs, then sorts them",
-	"internal/core/kernel.go Shutdown: range k.threads":                 "collects the victims, then sorts them by thread ID",
-	"internal/core/syscalls.go destroySpace: range s.Objects":           "marks every object dead and deletes it; the result is the same in any order",
-	"internal/core/syscalls2.go sysRegionSearch: range t.Space.Objects": "takes the minimum VA in the chunk, which no order changes",
-	"internal/experiments/static.go Table1: range counts":               "sums the counts",
-	"internal/metrics/metrics.go Snapshot: range r.counters":            "sorted by name before return",
-	"internal/metrics/metrics.go Snapshot: range r.gauges":              "sorted by name before return",
-	"internal/metrics/metrics.go Snapshot: range r.hists":               "sorted by name before return",
-	"internal/obj/obj.go ObjectsOfType: range s.Objects":                "counts matching objects",
-	"internal/profile/profile.go Snapshot: range merged":                "sorted by (path, syscall, PC bucket), a unique key, before return",
-	"internal/trace/critpath.go Decompose: range agg":                   "sorted by cycles, then by hop point, a unique key",
-	"internal/trace/critpath.go SpanPaths: range flows":                 "sorted by span ID, a unique key, before return",
-	"internal/trace/perfetto.go ExportJSONMeta: range cpus":             "collects the CPU lanes, then sorts them",
-	"internal/trace/perfetto.go ExportJSONMeta: range tracks":           "collects the tracks, then sorts them by (CPU, thread)",
+	"internal/core/kernel.go Shutdown: range k.threads":       "collects the victims, then sorts them by thread ID",
+	"internal/experiments/static.go Table1: range counts":     "sums the counts",
+	"internal/metrics/metrics.go Snapshot: range r.counters":  "sorted by name before return",
+	"internal/metrics/metrics.go Snapshot: range r.gauges":    "sorted by name before return",
+	"internal/metrics/metrics.go Snapshot: range r.hists":     "sorted by name before return",
+	"internal/profile/profile.go Snapshot: range merged":      "sorted by (path, syscall, PC bucket), a unique key, before return",
+	"internal/trace/critpath.go Decompose: range agg":         "sorted by cycles, then by hop point, a unique key",
+	"internal/trace/critpath.go SpanPaths: range flows":       "sorted by span ID, a unique key, before return",
+	"internal/trace/perfetto.go ExportJSONMeta: range cpus":   "collects the CPU lanes, then sorts them",
+	"internal/trace/perfetto.go ExportJSONMeta: range tracks": "collects the tracks, then sorts them by (CPU, thread)",
 }
 
 // TestNoNewMapRanges type-checks the module's product packages and fails

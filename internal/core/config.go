@@ -18,11 +18,7 @@
 // and context-switch code (paper §3.1).
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/sched"
-)
+import "fmt"
 
 // ExecModel selects the kernel's internal execution model (paper §3).
 type ExecModel uint8
@@ -171,10 +167,6 @@ type Config struct {
 	// continuations could not expose this to user code).
 	ContinuationRecognition bool
 
-	// Quantum is the round-robin time slice in cycles; 0 selects
-	// sched.DefaultQuantum.
-	Quantum uint64
-
 	// DisableFastPath turns off the simulator fast paths (software TLB,
 	// decoded-instruction cache, run-to-next-event batching, page-run
 	// IPC copies) and uses the reference per-instruction interpreter
@@ -300,9 +292,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.KernelStackSize == 0 {
 		c.KernelStackSize = DefaultKernelStackSize
-	}
-	if c.Quantum == 0 {
-		c.Quantum = sched.DefaultQuantum
 	}
 	if c.PreemptPointBytes == 0 {
 		c.PreemptPointBytes = PreemptPointBytes

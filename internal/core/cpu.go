@@ -66,9 +66,6 @@ func newCPU(k *Kernel, id int) *CPU {
 	return c
 }
 
-// ID returns the CPU's index.
-func (c *CPU) ID() int { return c.id }
-
 // stopSliceTimer cancels the CPU's pending quantum timer, if any.
 func (c *CPU) stopSliceTimer() { c.clk.Cancel(c.sliceTimer) }
 

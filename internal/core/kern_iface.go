@@ -19,9 +19,6 @@ func (k *Kernel) ObjAt(t *obj.Thread, va uint32, want sys.ObjType, allowDead boo
 	return k.objAt(t, va, want, allowDead)
 }
 
-// CountInterrupt records a consumed thread_interrupt (EINTR delivery).
-func (k *Kernel) CountInterrupt() { k.cur.stats.Interrupts++ }
-
 // Settle drives a thread preempted mid-kernel (full-preemption process
 // model) to a clean boundary so its exported state is consistent. It is a
 // no-op for threads already at a boundary and in the interrupt model.

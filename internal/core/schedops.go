@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/obj"
 	"repro/internal/profile"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -358,7 +359,7 @@ func (k *Kernel) kickCPU(c *CPU, target *CPU) {
 // armSliceTimer (re)arms c's quantum timer one quantum from now, reusing
 // the CPU's one Timer so a context switch allocates nothing.
 func (k *Kernel) armSliceTimer(c *CPU) {
-	c.clk.Rearm(c.sliceTimer, c.clk.Now()+k.cfg.Quantum)
+	c.clk.Rearm(c.sliceTimer, c.clk.Now()+sched.DefaultQuantum)
 }
 
 // quantumExpired is c's quantum-timer callback. A uniprocessor keeps the

@@ -705,17 +705,3 @@ func (k *Kernel) sysRegionSearch(t *obj.Thread) sys.KErr {
 	k.Return(t, sys.ENOTFOUND)
 	return sys.KOK
 }
-
-func max32(a, b uint32) uint32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min32(a, b uint32) uint32 {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -166,7 +166,8 @@ func (d *BlockDevice) complete() {
 	}
 	bytes := int(n) * SectorSize
 	mediumOff := int(d.sector) * SectorSize
-	if mediumOff+bytes > len(d.store) || d.dmaoff%4 != 0 {
+	if mediumOff+bytes > len(d.store) || d.dmaoff%4 != 0 ||
+		uint64(d.dmaoff)+uint64(bytes) > uint64(d.dma.Size) {
 		d.status = StatusErr
 		d.Errors++
 		d.raise()
@@ -177,7 +178,7 @@ func (d *BlockDevice) complete() {
 		err = d.dmaWrite(d.dmaoff, d.store[mediumOff:mediumOff+bytes])
 		d.Reads++
 	} else {
-		err = d.dmaRead(d.dmaoff, d.store[mediumOff:mediumOff+bytes])
+		d.dma.CopyOut(d.dmaoff, d.store[mediumOff:mediumOff+bytes])
 		d.Writes++
 	}
 	if err != nil {
@@ -189,49 +190,19 @@ func (d *BlockDevice) complete() {
 	d.raise()
 }
 
-// dmaWrite masters data into the DMA region, allocating zero frames for
-// absent pages (the device writes RAM; no faulting is possible).
+// dmaWrite masters data into the DMA region, allocating absent pages and
+// breaking copy-on-write shares first (see mmu.Region.DMAFrame): the
+// device writes RAM, so no faulting is possible.
 func (d *BlockDevice) dmaWrite(off uint32, data []byte) error {
 	for i := 0; i < len(data); {
 		po := mem.PageTrunc(off + uint32(i))
-		f := d.dma.FrameAt(po)
-		if f == nil {
-			var err error
-			f, err = d.alloc.Alloc()
-			if err != nil {
-				return err
-			}
-			d.dma.Populate(po, f)
-		}
 		inPage := int(off) + i - int(po)
-		n := copy(d.alloc.Writable(f)[inPage:], data[i:])
-		f.Bump()            // direct write: invalidate derived decodes
-		d.dma.MarkDirty(po) // DMA bypasses the MMU's dirty-page log too
-		i += n
-	}
-	return nil
-}
-
-// dmaRead masters data out of the DMA region; absent pages read as zero.
-func (d *BlockDevice) dmaRead(off uint32, dst []byte) error {
-	for i := 0; i < len(dst); {
-		po := mem.PageTrunc(off + uint32(i))
-		inPage := int(off) + i - int(po)
-		f := d.dma.FrameAt(po)
-		var n int
-		if f == nil {
-			end := int(mem.PageSize) - inPage
-			if end > len(dst)-i {
-				end = len(dst) - i
-			}
-			for j := 0; j < end; j++ {
-				dst[i+j] = 0
-			}
-			n = end
-		} else {
-			n = copy(dst[i:], f.Data[inPage:])
+		f, _, err := d.dma.DMAFrame(po, d.alloc, inPage == 0 && len(data)-i >= mem.PageSize)
+		if err != nil {
+			return err
 		}
-		i += n
+		i += copy(d.alloc.Writable(f)[inPage:], data[i:])
+		f.Bump() // direct write: invalidate derived decodes
 	}
 	return nil
 }

@@ -2,6 +2,8 @@ package dev_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"repro/internal/clock"
@@ -117,6 +119,134 @@ func TestDeviceErrors(t *testing.T) {
 	if r.d.Errors != 3 {
 		t.Fatalf("Errors=%d, want 3", r.d.Errors)
 	}
+}
+
+// blockDMAOutside lists guest-written DMA offsets whose transfer does not
+// fit a one-page region: past the end, straddling it, and wrapping the
+// 32-bit offset space.
+var blockDMAOutside = []uint32{mem.PageSize, mem.PageSize - 4, 0xFFFF_FFFC}
+
+// TestDeviceDMAOutsideRegion: a transfer that does not fit the DMA
+// region completes with an error, touches neither the region nor the
+// medium, and never panics the host.
+func TestDeviceDMAOutsideRegion(t *testing.T) {
+	for _, off := range blockDMAOutside {
+		for _, cmd := range []uint32{dev.CmdRead, dev.CmdWrite} {
+			t.Run(fmt.Sprintf("off=%#x/cmd=%d", off, cmd), func(t *testing.T) {
+				r := newRig(t, 2)
+				medium := bytes.Repeat([]byte{0x5A}, dev.SectorSize)
+				if err := r.d.LoadMedium(0, medium); err != nil {
+					t.Fatal(err)
+				}
+				r.d.IOWrite32(dev.RegDMAOff, off)
+				r.d.IOWrite32(dev.RegCmd, cmd)
+				r.clk.Advance(1000)
+				if got := r.d.IORead32(dev.RegStatus); got != dev.StatusErr {
+					t.Fatalf("status %d, want error", got)
+				}
+				if r.d.Errors != 1 || r.d.Reads+r.d.Writes != 0 || r.irqs != 1 {
+					t.Fatalf("Errors=%d Reads=%d Writes=%d irqs=%d, want one failed operation",
+						r.d.Errors, r.d.Reads, r.d.Writes, r.irqs)
+				}
+				if r.dma.PresentPages() != 0 {
+					t.Fatal("a rejected read populated the DMA region")
+				}
+				if !bytes.Equal(r.d.ReadMedium(0, dev.SectorSize), medium) {
+					t.Fatal("a rejected write changed the medium")
+				}
+			})
+		}
+	}
+}
+
+// TestDeviceDMABreaksShares: a DMA page shared copy-on-write into a
+// receiver (as a zero-copy reply leaves it) is replaced before a sector
+// read lands in it, so the receiver keeps reading its own bytes.
+func TestDeviceDMABreaksShares(t *testing.T) {
+	const va = 0x10_0000
+	r := newRig(t, 2)
+	if err := r.d.LoadMedium(0, bytes.Repeat([]byte{0xAB}, dev.SectorSize)); err != nil {
+		t.Fatal(err)
+	}
+	f, _ := r.alloc.Alloc()
+	data := r.alloc.Writable(f)
+	for i := range data {
+		data[i] = 0x11
+	}
+	r.dma.Populate(0, f)
+	src, dst := mmu.NewAddrSpace(r.alloc), mmu.NewAddrSpace(r.alloc)
+	recv := mmu.NewRegion(mem.PageSize, true)
+	if err := src.Map(&mmu.Mapping{Region: r.dma, Base: va, Size: mem.PageSize, Perm: mmu.PermRW}); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Map(&mmu.Mapping{Region: recv, Base: va, Size: mem.PageSize, Perm: mmu.PermRW}); err != nil {
+		t.Fatal(err)
+	}
+	if !mmu.ShareCOW(src, va, dst, va) {
+		t.Fatal("ShareCOW declined")
+	}
+
+	r.d.IOWrite32(dev.RegCmd, dev.CmdRead)
+	r.clk.Advance(1000)
+	if got := r.d.IORead32(dev.RegStatus); got != dev.StatusDone {
+		t.Fatalf("status %d, want done", got)
+	}
+	if v, flt := dst.Load32(va); flt != nil || v != 0x11111111 {
+		t.Fatalf("receiver reads %#x (fault %v), want its own 0x11111111", v, flt)
+	}
+	if nf := r.dma.FrameAt(0); nf == f || nf.Data[0] != 0xAB || nf.Data[dev.SectorSize] != 0x11 {
+		t.Fatal("the DMA page is not a private copy holding the sector over the old bytes")
+	}
+	if f.Refs != 1 || recv.FrameAt(0) != f {
+		t.Fatalf("the receiver's frame has refs=%d, want its own single reference", f.Refs)
+	}
+}
+
+// FuzzBlockDeviceRegisters lets the input play a hostile driver: it
+// writes arbitrary values to every block-device register and advances the
+// clock by arbitrary amounts. The device must never panic the host,
+// always report one of its four statuses, and never hold more frames than
+// its DMA region has pages — an allocator three frames short of the
+// region makes some transfers run out of memory.
+func FuzzBlockDeviceRegisters(f *testing.F) {
+	le := binary.LittleEndian
+	reg := func(op byte, v uint32) []byte { return le.AppendUint32([]byte{op}, v) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for _, off := range blockDMAOutside {
+		for _, cmd := range []uint32{dev.CmdRead, dev.CmdWrite} {
+			f.Add(cat(reg(2, off), reg(3, cmd), reg(5, 1000)))
+		}
+	}
+	// A read across all four pages (the fourth frame is past the
+	// allocator's limit), a command while busy, an ack, a write from the
+	// last page, and a sector and count that overflow the medium.
+	f.Add(cat(reg(1, 32), reg(2, 0), reg(3, dev.CmdRead), reg(3, dev.CmdRead), reg(5, 1000), reg(4, 1),
+		reg(2, 3*mem.PageSize), reg(3, dev.CmdWrite), reg(5, 999), reg(5, 1), reg(4, 1),
+		reg(0, 0xFFFF_FFFF), reg(1, 0xFFFF_FFFF), reg(3, dev.CmdRead), reg(5, 0xFFFF_FFFF)))
+
+	regs := [5]uint32{dev.RegSector, dev.RegCount, dev.RegDMAOff, dev.RegCmd, dev.RegIRQAck}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		const pages = 4
+		clk, alloc := clock.New(), mem.NewAllocator(pages-1)
+		dma := mmu.NewRegion(pages*mem.PageSize, true)
+		d := dev.New(clk, alloc, 64, dma, 1000, func() {})
+		for len(script) > 0 {
+			var b [5]byte // a truncated write reads zeros
+			script = script[copy(b[:], script):]
+			op, v := b[0]%6, le.Uint32(b[1:])
+			if op == 5 {
+				clk.Advance(uint64(v))
+			} else {
+				d.IOWrite32(regs[op], v)
+			}
+			if st := d.IORead32(dev.RegStatus); st > dev.StatusErr {
+				t.Fatalf("status %d", st)
+			}
+			if alloc.InUse() > alloc.Limit() || alloc.InUse() > dma.Pages() {
+				t.Fatalf("%d frames in use, limit %d, region of %d pages", alloc.InUse(), alloc.Limit(), dma.Pages())
+			}
+		}
+	})
 }
 
 func TestMMIOWindowSemantics(t *testing.T) {

@@ -396,7 +396,7 @@ func (n *NIC) consumeTX(qi int) {
 		var frame []byte
 		if ok {
 			frame = make([]byte, length)
-			n.dmaRead(q, off, frame)
+			q.cfg.DMA.CopyOut(off, frame)
 		}
 		n.write32(q, da+NICDescOwn, 0)
 		q.txHead++
@@ -538,58 +538,17 @@ func (n *NIC) raise(q *nicQueue) {
 	q.cfg.Raise()
 }
 
-// cowFrame returns the writable frame backing the DMA page at po,
-// allocating absent pages and replacing copy-on-write or shared frames
-// with private copies first. Device DMA bypasses the MMU's store path,
-// so the COW discipline the zero-copy IPC path relies on is enforced
-// here: a buffer page whose frame was shared into a receiver is
-// replaced (receivers keep the original frame) before the device
-// overwrites it. The replacement starts as a copy of the old contents
-// unless the caller promises to overwrite the whole page, in which case
-// the copy would be dead on arrival and is skipped. The frame may still
-// be unwritten, so the caller takes its bytes through Allocator.Writable.
+// cowFrame returns the frame backing the DMA page at po, ready to write
+// (see mmu.Region.DMAFrame), and counts the shares it breaks.
 func (n *NIC) cowFrame(q *nicQueue, po uint32, wholePage bool) *mem.Frame {
-	// Every caller is about to write the returned frame, and device DMA
-	// bypasses the MMU's dirty-page log as well as its COW discipline, so
-	// this choke point also reports the write to the tracker. (Populate
-	// and Repoint below mark on their own; the in-place branches must.)
-	q.cfg.DMA.MarkDirty(po)
-	f := q.cfg.DMA.FrameAt(po)
-	switch {
-	case f == nil:
-		nf, err := n.alloc.Alloc()
-		if err != nil {
-			panic(fmt.Sprintf("dev: NIC DMA out of memory at +%#x: %v", po, err))
-		}
-		q.cfg.DMA.Populate(po, nf)
-		return nf
-	case f.Shared():
-		nf, err := n.alloc.Alloc()
-		if err != nil {
-			panic(fmt.Sprintf("dev: NIC DMA out of memory at +%#x: %v", po, err))
-		}
-		if !wholePage {
-			copy(n.alloc.Writable(nf), f.Data)
-		}
-		nf.Bump()
-		// Repoint, not Populate: watchers' translations are re-derived in
-		// place, so the driver's next zero-copy reply out of this page does
-		// not eat a soft fault per unshared page.
-		old := q.cfg.DMA.Repoint(po, nf)
-		n.alloc.Free(old) // the ring's reference; receivers keep theirs
-		q.c.Unshares++
-		return nf
-	case f.Cow:
-		// Marked copy-on-write but this ring holds the last reference: the
-		// receivers already dropped theirs, so nobody observes the coming
-		// overwrite. Clear the marker and write in place (mirrors the
-		// last-reference case of mmu.ResolveCOW); write-protected guest
-		// translations upgrade lazily through ordinary soft faults.
-		f.Cow = false
-		return f
-	default:
-		return f
+	f, unshared, err := q.cfg.DMA.DMAFrame(po, n.alloc, wholePage)
+	if err != nil {
+		panic(fmt.Sprintf("dev: NIC DMA out of memory at +%#x: %v", po, err))
 	}
+	if unshared {
+		q.c.Unshares++
+	}
+	return f
 }
 
 // inDMA reports whether [off, off+length) lies inside the queue's DMA
@@ -605,25 +564,6 @@ func (n *NIC) dmaWrite(q *nicQueue, off uint32, data []byte) {
 		f := n.cowFrame(q, po, inPage == 0 && len(data)-i >= mem.PageSize)
 		m := copy(n.alloc.Writable(f)[inPage:], data[i:])
 		f.Bump()
-		i += m
-	}
-}
-
-func (n *NIC) dmaRead(q *nicQueue, off uint32, dst []byte) {
-	for i := 0; i < len(dst); {
-		po := mem.PageTrunc(off + uint32(i))
-		inPage := int(off) + i - int(po)
-		f := q.cfg.DMA.FrameAt(po)
-		var m int
-		if f == nil {
-			m = int(mem.PageSize) - inPage
-			if m > len(dst)-i {
-				m = len(dst) - i
-			}
-			clear(dst[i : i+m])
-		} else {
-			m = copy(dst[i:], f.Data[inPage:])
-		}
 		i += m
 	}
 }

@@ -31,7 +31,6 @@ func (f *fakeKern) Current() *obj.Thread       { return f.cur }
 func (f *fakeKern) ChargeKernel(c uint64)      { f.charges += c }
 func (f *fakeKern) ChargeConnect()             { f.charges += 100 }
 func (f *fakeKern) CommitProgress(*obj.Thread) {}
-func (f *fakeKern) CountInterrupt()            { f.intrs++ }
 
 func (f *fakeKern) Block(q *obj.WaitQueue, interruptible bool) sys.KErr {
 	t := f.cur

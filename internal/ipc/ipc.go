@@ -67,7 +67,6 @@ type Kern interface {
 	Return(t *obj.Thread, e sys.Errno)
 	SetPC(t *obj.Thread, sysno int)
 	CommitProgress(t *obj.Thread)
-	CountInterrupt()
 	ObjAt(t *obj.Thread, va uint32, want sys.ObjType, allowDead bool) (obj.Obj, sys.Errno, sys.KErr)
 	StoreUser32(t *obj.Thread, spc *obj.Space, va uint32, v uint32) sys.KErr
 	CopyWords(src, dst *obj.Thread) sys.KErr

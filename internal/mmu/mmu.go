@@ -199,6 +199,70 @@ func (r *Region) Repoint(off uint32, f *mem.Frame) *mem.Frame {
 	return old
 }
 
+// DMAFrame returns the frame backing the page at off, ready for a device
+// to write. Device DMA bypasses the store path, so this applies the store
+// path's rules from outside it:
+//   - an absent page gets a fresh frame from a;
+//   - a frame shared with another holder (a zero-copy receiver) is
+//     replaced through Repoint, so the receivers keep the original and
+//     the importing spaces keep their translations hot. The replacement
+//     starts as a copy of the old contents unless whole promises that
+//     the write covers the page, in which case the copy would be dead on
+//     arrival;
+//   - a copy-on-write frame this region holds the last reference to has
+//     its marker cleared and is written in place, as in ResolveCOW's
+//     last-reference case;
+//   - the page is logged with the dirty tracker.
+//
+// unshared reports that a share was broken. off must lie inside the
+// region. The frame may still be unwritten, so the caller takes its bytes
+// through a.Writable, and bumps its generation once it has written them.
+func (r *Region) DMAFrame(off uint32, a *mem.Allocator, whole bool) (f *mem.Frame, unshared bool, err error) {
+	r.MarkDirty(off) // Populate and Repoint mark too; the in-place cases must
+	f = r.FrameAt(off)
+	switch {
+	case f == nil:
+		if f, err = a.Alloc(); err != nil {
+			return nil, false, err
+		}
+		r.Populate(off, f)
+	case f.Shared():
+		nf, err := a.Alloc()
+		if err != nil {
+			return nil, false, err
+		}
+		if !whole {
+			copy(a.Writable(nf), f.Data)
+		}
+		nf.Bump()
+		a.Free(r.Repoint(off, nf)) // this region's reference; receivers keep theirs
+		return nf, true, nil
+	case f.Cow:
+		// Receivers already dropped their references, so nobody observes
+		// the overwrite. Write-protected translations upgrade lazily
+		// through ordinary soft faults.
+		f.Cow = false
+	}
+	return f, false, nil
+}
+
+// CopyOut copies len(dst) bytes of the region from off into dst, as a
+// device reads memory: absent pages read as zeros and nothing faults.
+func (r *Region) CopyOut(off uint32, dst []byte) {
+	for i := 0; i < len(dst); {
+		po := mem.PageTrunc(off + uint32(i))
+		inPage := int(off) + i - int(po)
+		var n int
+		if f := r.FrameAt(po); f != nil {
+			n = copy(dst[i:], f.Data[inPage:])
+		} else {
+			n = min(mem.PageSize-inPage, len(dst)-i)
+			clear(dst[i : i+n])
+		}
+		i += n
+	}
+}
+
 // flushDerived drops cached translations of the region page at off from
 // every space importing it.
 func (r *Region) flushDerived(off uint32) {

@@ -312,8 +312,9 @@ func BenchmarkMigrate(b *testing.B) {
 // SnapshotMemoryDelta captures what it dirtied against the previous
 // image. Cost should follow the dirty set, not the resident set, so host
 // time and allocation are reported per *dirty* frame (PageSize of the B
-// figure is the page copy itself). ns/op and B/op include the source's
-// RunFor; the per-dirty-frame time does not.
+// figure is the page copy the writer's next store makes, since the
+// snapshot borrows the page rather than copying it). ns/op and B/op
+// include the source's RunFor; the per-dirty-frame time does not.
 func BenchmarkSnapshotDelta(b *testing.B) {
 	k := core.New(core.Config{Model: core.ModelProcess})
 	defer k.Shutdown()

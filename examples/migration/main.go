@@ -50,7 +50,7 @@ func main() {
 	if _, err := k1.MapInto(s1, bulk, bulkBase, 0, bulkLen, mmu.PermRW); err != nil {
 		log.Fatal(err)
 	}
-	if err := k1.WriteMem(s1, bulkBase, make([]byte, bulkLen)); err != nil {
+	if err := k1.Populate(s1, bulkBase, bulkLen); err != nil {
 		log.Fatal(err)
 	}
 

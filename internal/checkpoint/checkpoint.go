@@ -206,9 +206,15 @@ func (c *memCap) pagerVA(r *mmu.Region) uint32 {
 	return 0
 }
 
-// capture copies live frame f into frames and returns its index.
+// capture records live frame f in frames and returns its index. The
+// record borrows f's page rather than copying it: f is lent from here on
+// and copies the page before its next write (mem.Frame). Until then no
+// cached translation may grant a store into it, which the caller's
+// rearm guarantees for every walked region: arming drops write from
+// their TLB slots, and a frame aliased into an unwalked region is Cow,
+// so no slot grants write to it anyway.
 func capture(frames *[]FrameRecord, f *mem.Frame) int32 {
-	*frames = append(*frames, FrameRecord{Data: append([]byte(nil), f.Data...), Cow: f.Cow})
+	*frames = append(*frames, FrameRecord{Data: f.Lend(), Cow: f.Cow})
 	return int32(len(*frames) - 1)
 }
 
@@ -428,20 +434,12 @@ func (img *Image) validate() error {
 
 // Restore materializes an image as a new space on kernel k2 (which may be
 // a different kernel instance — that is migration). Restored threads are
-// stopped; start them with StartAll. The image is only read — frame
-// contents are copied — so it can be restored again, or keep serving as
-// the parent of further deltas whose records share its buffers.
+// stopped; start them with StartAll. The new frames are built on the
+// image's pages (mem.Allocator.AllocFrom) and copy one only when they
+// first write it, so the image is never written: it can be restored
+// again, or keep serving as the parent of further deltas whose records
+// share its pages.
 func Restore(k2 *core.Kernel, img *Image) (*obj.Space, []*obj.Thread, error) {
-	return restore(k2, img, false)
-}
-
-// restore is Restore with a say over who ends up owning the image's page
-// buffers. With adopt set they are handed to k2's allocator as the new
-// frames' Data (mem.Allocator.AllocFrom), so a page crosses with no copy
-// at all; img.Frames then aliases live guest memory and the image, and
-// every image chained to it, must be dropped. Only Migrate and
-// MigratePrecopy, whose image chains never escape, may ask for that.
-func restore(k2 *core.Kernel, img *Image, adopt bool) (*obj.Space, []*obj.Thread, error) {
 	if err := img.validate(); err != nil {
 		return nil, nil, err
 	}
@@ -464,7 +462,7 @@ func restore(k2 *core.Kernel, img *Image, adopt bool) (*obj.Space, []*obj.Thread
 			f := frames[fi]
 			if f == nil {
 				var err error
-				f, err = k2.Alloc.AllocFrom(img.Frames[fi].Data, adopt)
+				f, err = k2.Alloc.AllocFrom(img.Frames[fi].Data)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -636,7 +634,7 @@ func Migrate(k1 *core.Kernel, s *obj.Space, k2 *core.Kernel) (*obj.Space, []*obj
 		k1.DestroyThread(t)
 	}
 	s.Dead = true
-	s2, threads, err := restore(k2, img, true) // img dies here: hand its buffers over
+	s2, threads, err := Restore(k2, img)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -28,11 +28,13 @@
 // full-image restore, the same way every fast path in this repo is
 // pinned against its slow path.
 //
-// Buffer ownership: a FrameRecord's Data is written once, when the frame
-// is captured, and is immutable from then on. Apply shares it between
-// the delta, the parent and the image it returns; Restore copies out of
-// it. Only a migration's final restore — whose whole chain is private
-// and about to be dropped — gives the buffers away (see restore).
+// Buffer ownership: a FrameRecord's Data is the captured frame's own
+// page, borrowed rather than copied, and is immutable from then on. The
+// live frame copies it before its next write; Apply shares it between
+// the delta, the parent and the image it returns; Restore builds the new
+// frames on it, and they too copy it before writing (mem.Frame's lent
+// pages). So a capture costs no page copy at all, and a pre-copy
+// migration copies only the pages the guest rewrites.
 package checkpoint
 
 import (

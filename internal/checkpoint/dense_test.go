@@ -2,11 +2,12 @@ package checkpoint_test
 
 // Tests for the dense image representation: the tracking epoch that keeps
 // two snapshot chains from corrupting each other, deterministic restore
-// order, the allocation bound of a delta round, buffer ownership across
-// Restore and the migrations, and refusal of malformed images.
+// order, the allocation bound of a delta round, page lending across
+// capture, Restore and the migrations, and refusal of malformed images.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"runtime"
 	"testing"
@@ -171,11 +172,12 @@ func TestDeltaRoundAllocs(t *testing.T) {
 	}
 }
 
-// TestMigrateHandsOverBuffers: the migrations give the final image's page
-// buffers to the destination instead of copying them. What the
-// destination ends up with must be indistinguishable from a copying
-// restore — bytes, sharing structure, allocator accounting, recycling of
-// free frames, the physical-memory limit — except that nothing was copied.
+// TestMigrateHandsOverBuffers: the migrations build the destination's
+// frames on the final image's pages, which the source's frames lent it,
+// instead of copying them. The destination must still be
+// indistinguishable from a space that owns its pages — bytes, sharing
+// structure, allocator accounting, recycling of free frames, the
+// physical-memory limit — and no page may be written through two frames.
 func TestMigrateHandsOverBuffers(t *testing.T) {
 	cfg := core.Config{Model: core.ModelProcess}
 
@@ -189,19 +191,51 @@ func TestMigrateHandsOverBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameContents(t, "destination vs frozen source", s, s2)
-		owner := map[*byte]*mem.Frame{}
-		for p, f := range spacePages(s2) {
-			if prev, dup := owner[&f.Data[0]]; dup && prev != f {
-				t.Fatalf("page %d: frames %d and %d share one backing array", p, prev.PFN, f.PFN)
+		// Destination frames are built on the image's pages and may share
+		// one (the zero page, at least), and the source's frames lent
+		// theirs to the image. Every page must still be its own: a word
+		// written through each reads back from each.
+		spaces := []struct {
+			k *core.Kernel
+			s *obj.Space
+		}{{k2, s2}, {k1, s}}
+		each := func(fn func(k *core.Kernel, s *obj.Space, va, word uint32)) {
+			word := uint32(1)
+			for _, sp := range spaces {
+				for _, m := range sp.s.AS.Mappings() {
+					if m.Base == core.KObjBase {
+						continue
+					}
+					for off := uint32(0); off < m.Size; off += mem.PageSize {
+						fn(sp.k, sp.s, m.Base+off+0x10, word)
+						word++
+					}
+				}
 			}
-			owner[&f.Data[0]] = f
+			if word < 1024 {
+				t.Fatalf("wrote only %d pages", word-1)
+			}
 		}
+		each(func(k *core.Kernel, s *obj.Space, va, word uint32) {
+			if err := k.WriteMem(s, va, binary.LittleEndian.AppendUint32(nil, word)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		each(func(k *core.Kernel, s *obj.Space, va, word uint32) {
+			b, err := k.ReadMem(s, va, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := binary.LittleEndian.Uint32(b); got != word {
+				t.Fatalf("%#x reads %d, want %d: two pages share one backing array", va, got, word)
+			}
+		})
 	})
 
-	// Migrate is Capture + Restore + StartAll, with the buffers handed
-	// over. Twin sources, twin destinations whose allocators already hold
-	// recycled frames: the adopting path must reuse them exactly as the
-	// copying path does.
+	// Migrate is Capture + Restore + StartAll. Twin sources, twin
+	// destinations whose allocators already hold recycled frames with
+	// pages of their own: Migrate must reuse them exactly as a Restore of
+	// a separate capture does, each giving up its page for the image's.
 	t.Run("matches copying restore", func(t *testing.T) {
 		dest := func() *core.Kernel {
 			k := core.New(cfg)
@@ -280,9 +314,10 @@ func TestMigrateHandsOverBuffers(t *testing.T) {
 	})
 }
 
-// TestRestoreLeavesImageReusable: the exported Restore copies, so the
-// image survives its restored space being written to — it can be restored
-// again, and deltas chained to it keep valid frame records.
+// TestRestoreLeavesImageReusable: a restored frame copies the image's
+// page before writing it, so the image survives its restored space being
+// written to — it can be restored again, and deltas chained to it keep
+// valid frame records.
 func TestRestoreLeavesImageReusable(t *testing.T) {
 	cfg := core.Config{Model: core.ModelProcess}
 	k := core.New(cfg)

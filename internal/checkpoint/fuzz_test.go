@@ -1,6 +1,7 @@
 package checkpoint_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 
@@ -54,7 +55,9 @@ func fzResize[T any](p []T, v int32, limit int) []T {
 // with arbitrary values, and feeds the result to Apply and Restore on a
 // kernel with little physical memory. Neither may panic the host — a
 // malformed image is an error — and the destination allocator never
-// exceeds its limit.
+// exceeds its limit. A restored space is then written at every mapped
+// page, and the fixture's frame records, whose pages the restored
+// frames borrow, must still hold the bytes they were captured with.
 func FuzzImageRestore(f *testing.F) {
 	// The reproduced host faults, one edit each (see
 	// TestRestoreRejectsHostileImage for the same cases spelled out).
@@ -100,10 +103,11 @@ func FuzzImageRestore(f *testing.F) {
 	if len(delta0.Frames) == 0 || delta0.CleanFrames == 0 {
 		f.Fatalf("fixture delta has %d own frames and %d parent references; want both", len(delta0.Frames), delta0.CleanFrames)
 	}
+	captured := recordCopies(parent0.Frames, delta0.Frames, img0.Frames)
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		// Deep-copy everything an edit can reach; page bytes stay shared
-		// (Restore only reads them).
+		// (restored frames copy them before writing).
 		img, d, parent := *img0, *delta0, *parent0
 		img.Frames = append([]checkpoint.FrameRecord(nil), img.Frames...)
 		img.Mappings = append([]checkpoint.MappingRecord(nil), img.Mappings...)
@@ -197,6 +201,19 @@ func FuzzImageRestore(f *testing.F) {
 			}
 			if err == nil && (s2 == nil || len(threads) != len(im.Threads)) {
 				t.Fatalf("%s: Restore succeeded with space %v and %d of %d threads", what, s2, len(threads), len(im.Threads))
+			}
+			if err != nil {
+				return
+			}
+			for _, m := range s2.AS.Mappings() {
+				for off := uint32(0); off < m.Size; off += mem.PageSize {
+					k2.WriteMem(s2, m.Base+off, []byte{0xA5, 0x5A}) // read-only, COW or out of memory: an error, and nothing written
+				}
+			}
+			for i, got := range recordCopies(parent0.Frames, delta0.Frames, img0.Frames) {
+				if !bytes.Equal(got, captured[i]) {
+					t.Fatalf("%s: writing the restored space changed frame record %d", what, i)
+				}
 			}
 		}
 		check("scribbled image", &img)

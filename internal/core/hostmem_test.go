@@ -112,6 +112,7 @@ func newHostMemWorld(t *testing.T, noFast bool) *hostMemWorld {
 // the kernel's functions on one, through the byte loops on the other.
 type hostMemOp struct {
 	write bool
+	zeros bool // a write of n zero bytes: Kernel.Populate on one side
 	va    uint32
 	n     int
 	fails string // the error both sides must report, "" for none
@@ -133,6 +134,32 @@ func pattern(n int, salt byte) []byte {
 		b[i] = salt ^ byte(i*7+1)
 	}
 	return b
+}
+
+// TestPopulateKeepsZeroPages: populating absent demand-zero pages, and
+// writing zeros over unwritten ones, makes them present and mapped
+// without giving any a page of its own; a later store does.
+func TestPopulateKeepsZeroPages(t *testing.T) {
+	w := newHostMemWorld(t, false)
+	if err := w.k.Populate(w.s, hmBase, 3*mem.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.k.WriteMem(w.s, hmBase+mem.PageSize+5, make([]byte, 9)); err != nil {
+		t.Fatal(err)
+	}
+	faults := w.s.AS.Faults
+	for p := uint32(0); p < 3; p++ {
+		f := w.r.FrameAt(p * mem.PageSize)
+		if f == nil || !f.Unwritten() || !w.s.AS.HasPTE(hmBase+p*mem.PageSize) {
+			t.Fatalf("page %d: frame %v, unwritten %v, mapped %v", p, f, f != nil && f.Unwritten(), w.s.AS.HasPTE(hmBase+p*mem.PageSize))
+		}
+	}
+	if err := w.k.WriteMem(w.s, hmBase+mem.PageSize, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if f := w.r.FrameAt(mem.PageSize); f.Unwritten() || f.Data[0] != 1 || w.s.AS.Faults != faults {
+		t.Fatalf("store after populate: unwritten %v, byte %d, %d new faults", f.Unwritten(), f.Data[0], w.s.AS.Faults-faults)
+	}
 }
 
 // TestHostMemMatchesByteLoop replays scenarios that cross page boundaries
@@ -192,6 +219,18 @@ func TestHostMemMatchesByteLoop(t *testing.T) {
 			{write: true, va: hmBase + hmPages*pg - 4, n: 8, fails: "core: WriteMem at 0x408000: fatal fault"},
 			{va: hmBase + hmPages*pg - 4, n: 8, fails: "core: ReadMem at 0x408000: fatal fault"},
 		},
+		// Zeros into a page still on the zero page leave it there; the
+		// faults, dirty log and bytes must still be the byte loop's.
+		"zeros": {
+			{write: true, zeros: true, va: hmBase + pg - 3, n: 3*pg + 5},
+			{prep: arm},
+			{write: true, zeros: true, va: hmBase, n: 2 * pg},
+			{write: true, va: hmBase + 5*pg + 7, n: pg + 10},
+			{write: true, zeros: true, va: hmBase + 5*pg, n: pg},
+			{prep: shareInto(6)},
+			{write: true, zeros: true, va: hmBase + 6*pg + 8, n: 4, fails: "core: WriteMem at 0x406008: cow fault"},
+			{va: hmBase, n: hmPages * pg},
+		},
 		"mmio-bearing": {
 			{write: true, va: hmBase + 10, n: pg},
 			{prep: mapDevice},
@@ -220,6 +259,9 @@ func TestHostMemMatchesByteLoop(t *testing.T) {
 					case op.prep != nil:
 						op.prep(t, got)
 						op.prep(t, want)
+					case op.zeros:
+						ge = got.k.Populate(got.s, op.va, uint32(op.n))
+						we = refWriteMem(want.s, op.va, make([]byte, op.n))
 					case op.write:
 						data := pattern(op.n, byte(i))
 						ge = got.k.WriteMem(got.s, op.va, data)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
@@ -479,24 +480,59 @@ func (k *Kernel) SpawnProgram(s *obj.Space, base uint32, image []byte, priority 
 // counts, resolves and dirty-logs exactly what a guest store would — and
 // the rest of the page follows through a direct window when the space
 // grants one (not with fast paths off or device windows mapped; then
-// every byte takes the store path).
+// every byte takes the store path). A page whose share of data is all
+// zero and whose frame is still unwritten (or about to be, demand-zero)
+// stays unwritten, so populating memory with zeros (Populate) costs no
+// page of host memory.
 func (k *Kernel) WriteMem(s *obj.Space, va uint32, data []byte) error {
 	for i := 0; i < len(data); {
 		a := va + uint32(i)
-		if f := s.AS.Store8(a, data[i]); f != nil {
+		rest := pageRest(a, len(data)-i-1)
+		chunk := data[i : i+1+int(rest)]
+		zero := bytes.Equal(chunk, mem.Zeros(len(chunk)))
+		store := func() (kept bool, f *cpu.Fault) {
+			if zero {
+				return s.AS.StoreZero(a)
+			}
+			return false, s.AS.Store8(a, data[i])
+		}
+		kept, f := store()
+		if f != nil {
 			cl, _ := s.AS.Classify(a, cpu.Write)
 			if cl != mmu.FaultSoft {
 				return fmt.Errorf("core: WriteMem at %#x: %v fault", a, cl)
 			}
-			if err := s.AS.ResolveSoft(a, cpu.Write); err != nil {
+			acc := cpu.Write
+			if zero {
+				acc = cpu.Read // resolve as a load does: leave a fresh frame unwritten
+			}
+			if err := s.AS.ResolveSoft(a, acc); err != nil {
 				return err
 			}
-			if f := s.AS.Store8(a, data[i]); f != nil {
+			if kept, f = store(); f != nil {
 				return fmt.Errorf("core: WriteMem at %#x: fault persists", a)
 			}
 		}
 		i++
-		i += copy(s.AS.DirectWindow(a+1, cpu.Write, pageRest(a, len(data)-i)), data[i:])
+		if kept {
+			i += int(rest)
+			continue
+		}
+		i += copy(s.AS.DirectWindow(a+1, cpu.Write, rest), data[i:])
+	}
+	return nil
+}
+
+// Populate makes the n bytes at va resident, as WriteMem of n zero bytes
+// does, without a zero buffer to copy from: pages still unwritten stay
+// on the zero page.
+func (k *Kernel) Populate(s *obj.Space, va, n uint32) error {
+	for n > 0 {
+		chunk := min(n, mem.PageSize-va&mem.PageMask)
+		if err := k.WriteMem(s, va, mem.Zeros(int(chunk))); err != nil {
+			return err
+		}
+		va, n = va+chunk, n-chunk
 	}
 	return nil
 }

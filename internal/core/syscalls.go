@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/cpu"
+	"repro/internal/mem"
 	"repro/internal/mmu"
 	"repro/internal/obj"
 	"repro/internal/profile"
@@ -262,7 +263,7 @@ func (k *Kernel) opCreate(t *obj.Thread, ot sys.ObjType) sys.KErr {
 	switch ot {
 	case sys.ObjRegion:
 		size := t.Regs.R[2]
-		if size == 0 {
+		if mem.PageRound(size) == 0 { // zero, or so large the round-up wraps to zero
 			k.Return(t, sys.EINVAL)
 			return sys.KOK
 		}

@@ -359,6 +359,27 @@ func TestRegionAndMappingCreateViaSyscalls(t *testing.T) {
 	})
 }
 
+// TestRegionCreateRejectsBadSizes: a size of zero, or one whose page
+// round-up wraps to zero, is EINVAL, not an empty region.
+func TestRegionCreateRejectsBadSizes(t *testing.T) {
+	e := newEnv(t, core.Config{Model: core.ModelProcess})
+	sizes := []uint32{0, 0xFFFFF001, 0xFFFFFFFF}
+	b := prog.New(codeBase)
+	for i, size := range sizes {
+		b.Movi(1, dataBase+0x100+uint32(i)*4).Movi(2, size).Movi(3, 1).
+			Syscall(sys.CommonOpNum(sys.ObjRegion, sys.OpCreate)).
+			Movi(6, dataBase).St(6, uint32(i)*4, 0)
+	}
+	b.Halt()
+	th := e.spawn(t, b, 10)
+	e.run(t, 100_000_000, th)
+	for i, size := range sizes {
+		if got := e.word(t, dataBase+uint32(i)*4); got != uint32(sys.EINVAL) {
+			t.Errorf("region_create(%#x): errno %v, want EINVAL", size, sys.Errno(got))
+		}
+	}
+}
+
 func TestRegionProtectViaSyscall(t *testing.T) {
 	e := newEnv(t, core.Config{Model: core.ModelProcess})
 	const (

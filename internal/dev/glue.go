@@ -40,7 +40,7 @@ func MapDMA(k *core.Kernel, s *obj.Space, va, dmaBytes uint32) (*obj.Region, err
 	if _, err := k.MapInto(s, reg, va, 0, dmaBytes, mmu.PermRW); err != nil {
 		return nil, err
 	}
-	if err := k.WriteMem(s, va, make([]byte, dmaBytes)); err != nil {
+	if err := k.Populate(s, va, dmaBytes); err != nil {
 		return nil, err
 	}
 	return reg, nil
@@ -60,7 +60,7 @@ func MapScratch(k *core.Kernel, s *obj.Space, va uint32) (*obj.Region, error) {
 	if _, err := k.MapInto(s, reg, va, 0, mem.PageSize, mmu.PermRW); err != nil {
 		return nil, err
 	}
-	if err := k.WriteMem(s, va, make([]byte, 64)); err != nil {
+	if err := k.Populate(s, va, 64); err != nil {
 		return nil, err
 	}
 	return reg, nil

@@ -66,10 +66,12 @@ func lazyNIC(t *testing.T, a *mem.Allocator) (*NIC, *mmu.Region, *mem.Frame) {
 	return n, dma, f
 }
 
-// allocFromRecycled is TestLazyFrameWritePaths' AllocFrom row: an
-// unwritten frame is freed and handed back by AllocFrom, which must fill
-// it (or, adopting, take the buffer) as it would a grown frame.
-func allocFromRecycled(adopt bool) func(t *testing.T) (*mem.Allocator, *mem.Frame, func() *mem.Frame) {
+// allocFromRecycled is TestLazyFrameWritePaths' AllocFrom rows: an
+// unwritten frame is freed and handed back by AllocFrom, which must
+// build it on the caller's page as it would a grown frame. With write
+// set the frame is then written through Writable, which must copy the
+// borrowed page first and leave the caller's bytes alone.
+func allocFromRecycled(write bool) func(t *testing.T) (*mem.Allocator, *mem.Frame, func() *mem.Frame) {
 	return func(t *testing.T) (*mem.Allocator, *mem.Frame, func() *mem.Frame) {
 		a := mem.NewAllocator(8)
 		f, _ := a.Alloc()
@@ -77,12 +79,19 @@ func allocFromRecycled(adopt bool) func(t *testing.T) (*mem.Allocator, *mem.Fram
 			a.Free(f)
 			page := make([]byte, mem.PageSize)
 			copy(page[lazyOff:], lazyPat)
-			g, err := a.AllocFrom(page, adopt)
+			g, err := a.AllocFrom(page)
 			if err != nil || g != f {
 				t.Fatalf("AllocFrom: %v; want the recycled frame back", err)
 			}
-			if adopt && &g.Data[0] != &page[0] {
-				t.Fatal("a recycled unwritten frame did not adopt the buffer, as a grown one does")
+			if &g.Data[0] != &page[0] || !g.Lent() {
+				t.Fatal("a recycled unwritten frame was not built on the caller's page, as a grown one is")
+			}
+			if write {
+				a.Writable(g)[0] = 1
+				g.Bump()
+				if &g.Data[0] == &page[0] || page[0] != 0 || g.Lent() {
+					t.Fatal("writing the frame wrote the caller's page")
+				}
 			}
 			return g
 		}
@@ -237,8 +246,8 @@ func TestLazyFrameWritePaths(t *testing.T) {
 				return f
 			}
 		}},
-		{"AllocFrom onto a recycled zero frame", allocFromRecycled(false)},
-		{"AllocFrom adopting onto a recycled zero frame", allocFromRecycled(true)},
+		{"AllocFrom onto a recycled zero frame", allocFromRecycled(true)},
+		{"AllocFrom adopting onto a recycled zero frame", allocFromRecycled(false)},
 	}
 	zero := make([]byte, mem.PageSize)
 	for _, row := range rows {

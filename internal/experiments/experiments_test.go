@@ -58,6 +58,9 @@ func TestTable3Shape(t *testing.T) {
 		if r.RemedyUS <= r.RollbackUS {
 			t.Errorf("%s: remedy %.2f <= rollback %.2f", r.Cause, r.RemedyUS, r.RollbackUS)
 		}
+		if r.RollbackUS <= 0 {
+			t.Errorf("%s: no rollback cost; the paper's copying IPC redoes the words since its last commit", r.Cause)
+		}
 	}
 	if ch.RemedyUS < 3*cs.RemedyUS {
 		t.Errorf("client hard %.1f not >> client soft %.1f", ch.RemedyUS, cs.RemedyUS)

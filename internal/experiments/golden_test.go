@@ -45,6 +45,24 @@ func TestFlukebenchGolden(t *testing.T) {
 	}
 }
 
+// TestCrossoverRejectsScaleBelowOne: a crossover scale below one CPU
+// selects no CPU count, and must be an error rather than the full sweep.
+func TestCrossoverRejectsScaleBelowOne(t *testing.T) {
+	for _, tb := range Tables() {
+		if tb.Name != "crossover" {
+			continue
+		}
+		for _, scale := range []int{0, -1} {
+			var out bytes.Buffer
+			if err := tb.Run(&out, Options{Fast: true, Scale: scale}); err == nil || out.Len() != 0 {
+				t.Errorf("scale %d: err %v after %d bytes of output; want an error and none", scale, err, out.Len())
+			}
+		}
+		return
+	}
+	t.Fatal("no crossover table")
+}
+
 // lineDiff lists the lines at which want and got differ.
 func lineDiff(want, got string) string {
 	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")

@@ -51,7 +51,7 @@ func NewMigrateWriter(k *core.Kernel, ws uint32, hot int) (*obj.Space, error) {
 		return nil, err
 	}
 	// Touch every page: the space's residency is the full working set.
-	if err := k.WriteMem(s, migWSBase, make([]byte, ws)); err != nil {
+	if err := k.Populate(s, migWSBase, ws); err != nil {
 		return nil, err
 	}
 

@@ -218,7 +218,7 @@ func runNetloadCell(mode string, cpus int, lm core.LockModel, base core.Config, 
 			if _, err := k.MapInto(cs, r, m.va, 0, m.size, mmu.PermRW); err != nil {
 				return nil, err
 			}
-			if err := k.WriteMem(cs, m.va, make([]byte, m.size)); err != nil {
+			if err := k.Populate(cs, m.va, m.size); err != nil {
 				return nil, err
 			}
 		}

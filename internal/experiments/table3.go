@@ -66,7 +66,10 @@ func runTable3Flavor(hard, serverSide bool) (Table3Row, error) {
 	}
 	row := Table3Row{Cause: name}
 
-	k := core.New(core.Config{Model: core.ModelProcess, Preempt: core.PreemptNone})
+	// The paper's reliable IPC copies every word; a page-aligned transfer
+	// would otherwise share its pages copy-on-write, and a share thrown
+	// away by a restart costs next to nothing to redo.
+	k := core.New(core.Config{Model: core.ModelProcess, Preempt: core.PreemptNone, DisableZeroCopy: true})
 	m := k.EnableMetrics()
 	sCli := k.NewSpace()
 	sSrv := k.NewSpace()
@@ -81,7 +84,7 @@ func runTable3Flavor(hard, serverSide bool) (Table3Row, error) {
 		if _, err := k.MapInto(s, scratch, t3Data, 0, mem.PageSize, mmu.PermRW); err != nil {
 			return nil, err
 		}
-		if err := k.WriteMem(s, t3Data, make([]byte, 64)); err != nil {
+		if err := k.Populate(s, t3Data, 64); err != nil {
 			return nil, err
 		}
 		demandZero := !(target && hard)

@@ -92,7 +92,7 @@ func Tables() []Table {
 	return []Table{
 		{
 			Name: "table3", Help: "run only Table 3", Title: "Table 3", Default: true,
-			Matrix: Matrix{"interrupt", "partial", "1", "big"},
+			Matrix: Matrix{"process", "none", "1", "big"},
 			Run: render(func(Options) ([]Table3Row, error) { return Table3() },
 				Table3Render, Table3MetricsAppendix),
 		},
@@ -203,6 +203,11 @@ func Tables() []Table {
 			Title:  "lock-model crossover",
 			Matrix: Matrix{"interrupt", "partial", "1..64", "big,fine"},
 			Run: render(func(o Options) ([]CrossoverRow, error) {
+				if o.Scale < 1 {
+					// No CPU count qualifies, and LockCrossover reads an
+					// empty list as the whole sweep.
+					return nil, fmt.Errorf("crossover: scale %d is below 1 CPU", o.Scale)
+				}
 				sc := DefaultCrossoverScale()
 				if o.Fast {
 					sc = FastCrossoverScale()

@@ -47,7 +47,7 @@ func AttachServer(k *core.Kernel, driver *dev.Driver, priority int) (*Server, er
 		return nil, err
 	}
 	// Pre-touch the working page so server replies never fault.
-	if err := k.WriteMem(s, fsData, make([]byte, 0x700)); err != nil {
+	if err := k.Populate(s, fsData, 0x700); err != nil {
 		return nil, err
 	}
 	drvRef := driver.ClientRef(k, s)

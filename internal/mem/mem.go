@@ -26,14 +26,18 @@ var ErrNoMemory = errors.New("mem: out of physical memory")
 // Frame is one physical page frame. The Data slice is the frame's contents;
 // it is always exactly PageSize bytes (len == cap).
 //
-// Data is safe to read, never to write directly. A frame nobody has
-// written yet is unwritten: its Data aliases one page shared by every
-// such frame and mapped read-only from the host, so a missed write site
-// faults the process instead of corrupting every zero frame. Host
-// writers take the bytes from Allocator.Writable, which gives an
-// unwritten frame a page of its own first; the MMU never caches write
-// permission for an unwritten frame, so guest stores reach Writable
-// through its translate slow path.
+// Data is safe to read, never to write directly. A frame's page may be
+// lent: held elsewhere as well, so a write through the frame would be
+// seen there too. Two holders lend pages. A frame nobody has written yet
+// is unwritten: its Data aliases one page shared by every such frame and
+// mapped read-only from the host, so a missed write site faults the
+// process instead of corrupting every zero frame. And a checkpoint image
+// borrows the pages of the frames it captures, and restores frames onto
+// its own: an image page is immutable, so every frame holding one is
+// lent. Host writers take the bytes from Allocator.Writable, which gives
+// a lent frame a page of its own first, a copy of the one it was lent;
+// the MMU never caches write permission for a lent frame, so guest
+// stores reach Writable through its translate slow path.
 //
 // Gen is the frame's store-generation counter: every writer of Data must
 // bump it (the MMU store paths do; DMA engines and other host-side writers
@@ -56,6 +60,7 @@ type Frame struct {
 	Gen  uint64 // store generation; bumped on every write to Data
 	Refs int32  // region slots holding this frame; 0 = on the free list
 	Cow  bool   // stores must fault so the share can be broken
+	lent bool   // Data is held elsewhere too: copy it before writing
 	Data []byte
 }
 
@@ -66,6 +71,23 @@ func (f *Frame) Bump() { f.Gen++ }
 
 // Unwritten reports whether f still aliases the shared zero page.
 func (f *Frame) Unwritten() bool { return unsafe.SliceData(f.Data) == unsafe.SliceData(zeroPage) }
+
+// Lent reports whether f's page is held elsewhere too (see Frame), so
+// the next write must go through Allocator.Writable.
+func (f *Frame) Lent() bool { return f.lent }
+
+// Lend returns f's page for a holder outside the frame — a checkpoint
+// image — which may keep it for as long as it likes and must never write
+// it. From here on f copies the page before its next write.
+func (f *Frame) Lend() []byte {
+	f.lent = true
+	return f.Data
+}
+
+// Zeros returns n zero bytes, n at most one page, backed by the zero page
+// (see Frame): a source to copy from that costs no allocation. A write
+// through it faults the process.
+func Zeros(n int) []byte { return zeroPage[:n:n] }
 
 // zeroPage is the contents of every unwritten frame (see Frame).
 var zeroPage = mapZeroPage()
@@ -114,7 +136,8 @@ func NewAllocator(maxFrames int) *Allocator {
 // take pops a recycled frame or grows the pool, and is the one place a
 // frame's bookkeeping (Refs, Cow, Gen, the in-use and peak counts) is set
 // up. Contents are the caller's business: a recycled frame still holds
-// its previous bytes, a grown one is unwritten.
+// its previous bytes if its page is its own, and a grown one, or one
+// whose page was lent, is unwritten.
 func (a *Allocator) take() (*Frame, error) {
 	var f *Frame
 	if n := len(a.free); n > 0 {
@@ -124,11 +147,14 @@ func (a *Allocator) take() (*Frame, error) {
 		f.Bump() // recycled frame: contents change, derived decodes are stale
 		f.Refs = 1
 		f.Cow = false
+		if f.lent {
+			f.Data = zeroPage // never clear a page someone else holds
+		}
 	} else {
 		if a.inUse >= a.limit {
 			return nil, ErrNoMemory
 		}
-		f = &Frame{PFN: a.nextPFN, Refs: 1, Data: zeroPage}
+		f = &Frame{PFN: a.nextPFN, Refs: 1, lent: true, Data: zeroPage}
 		a.nextPFN++
 	}
 	a.inUse++
@@ -140,48 +166,62 @@ func (a *Allocator) take() (*Frame, error) {
 
 // Alloc returns a zeroed page frame, or ErrNoMemory when the configured
 // physical memory is exhausted. A grown frame is unwritten and costs no
-// page until Writable; a recycled one keeps its page, cleared.
+// page until Writable; a recycled one keeps its own page, cleared.
 func (a *Allocator) Alloc() (*Frame, error) {
 	f, err := a.take()
 	if err != nil {
 		return nil, err
 	}
-	if !f.Unwritten() {
+	if !f.lent { // after take, a lent frame is unwritten
 		clear(f.Data)
 	}
 	return f, nil
 }
 
-// Writable returns f's contents for writing, first giving an unwritten
-// frame a zeroed page of its own. That changes no byte anyone can read,
-// so it bumps no Gen and is invisible to virtual time; writers still
-// bump Gen for what they write. f must be live and come from a.
+// Writable returns f's contents for writing, first giving a lent frame
+// a page of its own holding the same bytes. That changes no byte anyone
+// can read, so it bumps no Gen and is invisible to virtual time; writers
+// still bump Gen for what they write. f must be live and come from a.
 func (a *Allocator) Writable(f *Frame) []byte {
-	if f.Unwritten() {
+	if f.lent {
 		a.materialize(f)
 	}
 	return f.Data
 }
 
-// materialize gives an unwritten frame its own zeroed page. It is
-// Writable's slow half, kept out of line so Writable inlines.
+// materialize gives a lent frame its own copy of its page. It is
+// Writable's slow half, kept out of line so Writable inlines. An
+// unwritten frame takes a zeroed page cut from a slab while the slab
+// budget lasts; any other page is copied into one from the heap.
 func (a *Allocator) materialize(f *Frame) {
-	a.slabMu.Lock()
-	f.Data = a.carve()
-	a.slabMu.Unlock()
+	var d []byte
+	if f.Unwritten() {
+		a.slabMu.Lock()
+		d = a.carve()
+		a.slabMu.Unlock()
+	}
+	if d == nil {
+		d = make([]byte, PageSize) // make+copy: the runtime skips the zeroing
+		copy(d, f.Data)
+	}
+	f.Data, f.lent = d, false
 }
 
 // carve returns a fresh zeroed page for a frame materialize fills, cut
 // from a slab so it costs one heap object per slab rather than per
-// page. Slabs double from one page up to slabMaxPages and never extend
-// past the pages the limit still allows: a frame keeps its page when
-// recycled, so at most limit frames ever take one, and the carved pages
-// plus the slab tail never exceed limit. Each page is a three-index
-// slice (len == cap == PageSize): no append through one frame can reach
-// its neighbour. A slab stays live while any frame cut from it does;
-// frames never leave their allocator, so that is as long as the
-// allocator itself. The caller holds slabMu.
+// page, or nil once limit pages have been cut. Slabs double from one
+// page up to slabMaxPages and never extend past the pages the limit
+// still allows, so the carved pages plus the slab tail never exceed
+// limit. A frame keeps its own page when recycled, so only a frame that
+// gave it up for a borrowed one (AllocFrom) ever asks twice, and past
+// the limit materialize takes its page from the heap instead. Each page
+// is a three-index slice (len == cap == PageSize): no append through
+// one frame can reach its neighbour. A slab stays live while any frame
+// or image holds a page cut from it. The caller holds slabMu.
 func (a *Allocator) carve() []byte {
+	if a.carved == a.limit {
+		return nil
+	}
 	if len(a.slab) == 0 {
 		a.slabPages = min(max(2*a.slabPages, 1), slabMaxPages, a.limit-a.carved)
 		a.slab = make([]byte, a.slabPages*PageSize)
@@ -192,13 +232,11 @@ func (a *Allocator) carve() []byte {
 	return d
 }
 
-// AllocFrom returns a frame holding the PageSize bytes of page, written
-// at most once: no zero-fill precedes the copy. With adopt set the
-// allocator takes ownership of the buffer — an unwritten frame (grown,
-// or recycled without ever being written) uses page itself as its Data,
-// with no copy at all, and the caller must not touch it again. (A frame
-// that owns a page is copied into either way.)
-func (a *Allocator) AllocFrom(page []byte, adopt bool) (*Frame, error) {
+// AllocFrom returns a frame built on page, which it borrows: the frame
+// is lent (see Frame), so its first write copies page and nobody ever
+// writes page itself. The caller must not write it either. A recycled
+// frame gives up the page it had.
+func (a *Allocator) AllocFrom(page []byte) (*Frame, error) {
 	if len(page) != PageSize {
 		panic(fmt.Sprintf("mem: frame contents of %d bytes", len(page)))
 	}
@@ -206,16 +244,7 @@ func (a *Allocator) AllocFrom(page []byte, adopt bool) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case !f.Unwritten():
-		copy(f.Data, page)
-	case adopt:
-		f.Data = page
-	default:
-		data := make([]byte, PageSize) // make+copy: the runtime skips the zeroing
-		copy(data, page)
-		f.Data = data
-	}
+	f.Data, f.lent = page[:PageSize:PageSize], true
 	return f, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestAllocZeroed(t *testing.T) {
@@ -247,7 +248,9 @@ func TestDoubleFreeMentionsFrame(t *testing.T) {
 // TestAllocFromMatchesAlloc pins AllocFrom to Alloc's bookkeeping: the
 // same op sequence through either constructor leaves the same PFNs,
 // refcounts, generations, in-use and peak counts and exhaustion point —
-// only the contents (and, when adopting, who owns the buffer) differ.
+// only the contents differ. Every AllocFrom frame, grown or recycled,
+// is built on the caller's page and lent, so writing it copies the page
+// and leaves the caller's bytes alone.
 func TestAllocFromMatchesAlloc(t *testing.T) {
 	page := func(b byte) []byte {
 		p := make([]byte, PageSize)
@@ -256,51 +259,49 @@ func TestAllocFromMatchesAlloc(t *testing.T) {
 		}
 		return p
 	}
-	for _, adopt := range []bool{false, true} {
-		ref, a := NewAllocator(3), NewAllocator(3)
-		var refLive, live []*Frame
-		step := func(free int) {
-			t.Helper()
-			if free >= 0 {
-				ref.Free(refLive[free])
-				a.Free(live[free])
-				refLive = append(refLive[:free], refLive[free+1:]...)
-				live = append(live[:free], live[free+1:]...)
-			} else {
-				src := page(byte(len(live)) + 0x30)
-				want := append([]byte(nil), src...)
-				rf, rerr := ref.Alloc()
-				f, err := a.AllocFrom(src, adopt)
-				if err != rerr {
-					t.Fatalf("adopt=%v: AllocFrom err %v, Alloc err %v", adopt, err, rerr)
-				}
-				if err != nil {
-					return
-				}
-				if f.PFN != rf.PFN || f.Refs != rf.Refs || f.Gen != rf.Gen || f.Cow != rf.Cow {
-					t.Fatalf("adopt=%v: frame %+v vs Alloc's %+v", adopt, *f, *rf)
-				}
-				if string(f.Data) != string(want) || len(f.Data) != PageSize {
-					t.Fatalf("adopt=%v: frame %d does not hold the source bytes", adopt, f.PFN)
-				}
-				grown := rf.Gen == 0
-				if owns := &f.Data[0] == &src[0]; owns != (adopt && grown) {
-					t.Fatalf("adopt=%v grown=%v: frame uses the caller's buffer = %v", adopt, grown, owns)
-				}
-				f.Cow = true // must not survive recycling, as with Alloc
-				rf.Cow = true
-				refLive, live = append(refLive, rf), append(live, f)
+	ref, a := NewAllocator(3), NewAllocator(3)
+	var refLive, live []*Frame
+	step := func(free int) {
+		t.Helper()
+		if free >= 0 {
+			ref.Free(refLive[free])
+			a.Free(live[free])
+			refLive = append(refLive[:free], refLive[free+1:]...)
+			live = append(live[:free], live[free+1:]...)
+		} else {
+			src := page(byte(len(live)) + 0x30)
+			want := append([]byte(nil), src...)
+			rf, rerr := ref.Alloc()
+			f, err := a.AllocFrom(src)
+			if err != rerr {
+				t.Fatalf("AllocFrom err %v, Alloc err %v", err, rerr)
 			}
-			if a.InUse() != ref.InUse() || a.Peak() != ref.Peak() {
-				t.Fatalf("adopt=%v: InUse/Peak %d/%d vs Alloc's %d/%d", adopt, a.InUse(), a.Peak(), ref.InUse(), ref.Peak())
+			if err != nil {
+				return
 			}
+			if f.PFN != rf.PFN || f.Refs != rf.Refs || f.Gen != rf.Gen || f.Cow != rf.Cow {
+				t.Fatalf("frame %+v vs Alloc's %+v", *f, *rf)
+			}
+			if &f.Data[0] != &src[0] || len(f.Data) != PageSize || cap(f.Data) != PageSize || !f.Lent() {
+				t.Fatalf("frame %d is not lent the caller's page", f.PFN)
+			}
+			a.Writable(f)[0] ^= 0xFF
+			if &f.Data[0] == &src[0] || f.Lent() || string(src) != string(want) || string(f.Data[1:]) != string(want[1:]) {
+				t.Fatalf("writing frame %d did not copy the caller's page first", f.PFN)
+			}
+			f.Cow = true // must not survive recycling, as with Alloc
+			rf.Cow = true
+			refLive, live = append(refLive, rf), append(live, f)
 		}
-		for _, op := range []int{-1, -1, -1, -1 /* ErrNoMemory */, 1, 0, -1 /* recycled */, -1, -1 /* full again */} {
-			step(op)
+		if a.InUse() != ref.InUse() || a.Peak() != ref.Peak() {
+			t.Fatalf("InUse/Peak %d/%d vs Alloc's %d/%d", a.InUse(), a.Peak(), ref.InUse(), ref.Peak())
 		}
-		if a.InUse() != 3 {
-			t.Fatalf("adopt=%v: sequence ended with %d frames in use, want the limit", adopt, a.InUse())
-		}
+	}
+	for _, op := range []int{-1, -1, -1, -1 /* ErrNoMemory */, 1, 0, -1 /* recycled */, -1, -1 /* full again */} {
+		step(op)
+	}
+	if a.InUse() != 3 {
+		t.Fatalf("sequence ended with %d frames in use, want the limit", a.InUse())
 	}
 }
 
@@ -412,5 +413,44 @@ func TestAllocFromRejectsShortPage(t *testing.T) {
 			t.Fatal("AllocFrom accepted a buffer that is not one page")
 		}
 	}()
-	NewAllocator(1).AllocFrom(make([]byte, PageSize-1), true)
+	NewAllocator(1).AllocFrom(make([]byte, PageSize-1))
+}
+
+// TestFrameSize pins Frame at 48 bytes: the lent flag sits in Cow's
+// padding. A field past Data moves Frame into the 64-byte size class,
+// which every frame the fault path grows pays for.
+func TestFrameSize(t *testing.T) {
+	if n := unsafe.Sizeof(Frame{}); n != 48 {
+		t.Fatalf("Frame is %d bytes, want 48", n)
+	}
+}
+
+// TestLentFrameRecycling: a frame that gave its own page up for a
+// borrowed one comes back from the free list unwritten, never clearing
+// the page it was lent, and writing it again past the slab budget takes
+// a heap page: carved pages never exceed the limit.
+func TestLentFrameRecycling(t *testing.T) {
+	a := NewAllocator(2)
+	f, _ := a.Alloc()
+	g, _ := a.Alloc()
+	a.Writable(f)[0] = 1
+	a.Writable(g)[0] = 1 // both slab pages carved
+	page := make([]byte, PageSize)
+	page[7] = 0x77
+	for round := 0; round < 3; round++ {
+		a.Free(f)
+		lent, err := a.AllocFrom(page)
+		if err != nil || lent != f || !f.Lent() {
+			t.Fatalf("round %d: AllocFrom gave %v, %v; want f back, lent", round, lent, err)
+		}
+		a.Free(f)
+		z, _ := a.Alloc()
+		if z != f || !f.Unwritten() || page[7] != 0x77 {
+			t.Fatalf("round %d: recycled a lent frame: unwritten %v, page byte %#x", round, f.Unwritten(), page[7])
+		}
+		a.Writable(f)[0] = 2
+		if f.Lent() || f.Unwritten() || a.carved > a.Limit() || len(f.Data) != PageSize || cap(f.Data) != PageSize {
+			t.Fatalf("round %d: written frame lent %v, unwritten %v, %d pages carved of %d", round, f.Lent(), f.Unwritten(), a.carved, a.Limit())
+		}
+	}
 }

@@ -215,8 +215,9 @@ func (r *Region) Repoint(off uint32, f *mem.Frame) *mem.Frame {
 //   - the page is logged with the dirty tracker.
 //
 // unshared reports that a share was broken. off must lie inside the
-// region. The frame may still be unwritten, so the caller takes its bytes
-// through a.Writable, and bumps its generation once it has written them.
+// region. The frame may still be lent (see mem.Frame), so the caller
+// takes its bytes through a.Writable, and bumps its generation once it
+// has written them.
 func (r *Region) DMAFrame(off uint32, a *mem.Allocator, whole bool) (f *mem.Frame, unshared bool, err error) {
 	r.MarkDirty(off) // Populate and Repoint mark too; the in-place cases must
 	f = r.FrameAt(off)
@@ -725,7 +726,7 @@ func (as *AddrSpace) Classify(va uint32, acc cpu.Access) (FaultClass, *Mapping) 
 
 // ResolveSoft installs the PTE for a soft fault at va, materializing a
 // demand-zero frame in the region if needed. A write access also gives
-// the frame its own page (mem.Allocator.Writable), since the store it
+// a lent frame its own page (mem.Allocator.Writable), since the store it
 // restarts is about to write it. Classify must have returned FaultSoft
 // for the same access.
 func (as *AddrSpace) ResolveSoft(va uint32, acc cpu.Access) error {
@@ -925,8 +926,8 @@ func (as *AddrSpace) HasPTE(va uint32) bool { return as.pt.lookup(mem.VPN(va)) !
 // translate returns the frame and in-page offset for va, or a fault. A
 // successful translation refills the TLB slot for the page (unless fast
 // paths are disabled), exactly as a hardware page-table walk would. A
-// store gives an unwritten frame its own page first; every other access
-// refills without write permission while the frame is unwritten, so the
+// store gives a lent frame its own page first; every other access
+// refills without write permission while the frame is lent, so the
 // first store through the TLB misses and comes back here.
 func (as *AddrSpace) translate(va uint32, acc cpu.Access) (*mem.Frame, uint32, *cpu.Fault) {
 	vpn := mem.VPN(va)
@@ -936,29 +937,33 @@ func (as *AddrSpace) translate(va uint32, acc cpu.Access) (*mem.Frame, uint32, *
 		return nil, 0, &cpu.Fault{VA: va, Access: acc}
 	}
 	if e.track && acc == cpu.Write {
-		// First store since dirty tracking was armed: log the page and
-		// disarm, then complete the access. No fault, no Faults count, no
-		// cycles — tracking is invisible to virtual time.
-		e.track = false
-		if m := as.MappingAt(va); m != nil {
-			m.Region.MarkDirty(m.regionOffFor(va))
-		}
+		as.logStore(e, va)
 	}
 	if acc == cpu.Write {
 		as.alloc.Writable(e.frame)
 	}
 	if !as.noFast {
 		perm := e.perm
-		if e.track || e.frame.Unwritten() {
+		if e.track || e.frame.Lent() {
 			// Refill without write permission while armed, so a later
 			// store cannot hit the TLB and bypass the dirty log, or
-			// while the frame is unwritten, so it cannot write the
-			// shared zero page.
+			// while the frame is lent, so it cannot write a page held
+			// elsewhere (the zero page, a checkpoint image's).
 			perm &^= PermWrite
 		}
 		as.tlb.Slots[vpn&as.tlb.Mask] = cpu.TLBEntry{VPN: vpn, Perm: uint8(perm), Frame: e.frame}
 	}
 	return e.frame, va & mem.PageMask, nil
+}
+
+// logStore is the first store through armed entry e (for va) since dirty
+// tracking was armed: it logs the page and disarms. No fault, no Faults
+// count, no cycles — tracking is invisible to virtual time.
+func (as *AddrSpace) logStore(e *pte, va uint32) {
+	e.track = false
+	if m := as.MappingAt(va); m != nil {
+		m.Region.MarkDirty(m.regionOffFor(va))
+	}
 }
 
 // probe is a non-faulting, non-filling translate: it checks the TLB then
@@ -1022,6 +1027,21 @@ func (as *AddrSpace) Store32(va uint32, v uint32) *cpu.Fault {
 	d := f.Data[off:]
 	d[0], d[1], d[2], d[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 	return nil
+}
+
+// StoreZero is Store8(va, 0) for a host writer that is about to zero the
+// rest of va's page as well. It faults, counts and dirty-logs exactly as
+// that store would, but a frame still on the zero page keeps it, since
+// no byte changes; kept reports that, and the writer may then skip the
+// rest of the page.
+func (as *AddrSpace) StoreZero(va uint32) (kept bool, flt *cpu.Fault) {
+	if e := as.pt.lookup(mem.VPN(va)); e != nil && e.perm&PermWrite != 0 && e.frame.Unwritten() {
+		if e.track {
+			as.logStore(e, va)
+		}
+		return true, nil
+	}
+	return false, as.Store8(va, 0)
 }
 
 // Load8 implements cpu.Memory.
@@ -1114,9 +1134,10 @@ func (as *AddrSpace) DecodedPageFor(pc uint32) *cpu.DecodedPage {
 // granting acc, or max == 0). A device register page never has a
 // translation, so it never yields a window and its words reach the
 // IOHandler one by one; every other page of a driver space does. A write
-// window gives an unwritten frame its own page and bumps the frame's
-// store generation so decoded-instruction caches stay coherent. Callers must re-request the window after anything that
-// can change translations (faults, scheduling).
+// window gives a lent frame its own page and bumps the frame's store
+// generation so decoded-instruction caches stay coherent. Callers must
+// re-request the window after anything that can change translations
+// (faults, scheduling).
 func (as *AddrSpace) DirectWindow(va uint32, acc cpu.Access, max uint32) []byte {
 	if as.noFast || max == 0 {
 		return nil

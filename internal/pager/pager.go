@@ -76,7 +76,7 @@ func Install(k *core.Kernel, s *obj.Space, reg *obj.Region, cfg Config) (*Pager,
 	}
 	// Pre-touch the scratch page so fault-message delivery never takes
 	// a fault of its own (keeps experiment fault counts clean).
-	if err := k.WriteMem(s, cfg.DataBase, make([]byte, 8)); err != nil {
+	if err := k.Populate(s, cfg.DataBase, 8); err != nil {
 		return nil, err
 	}
 

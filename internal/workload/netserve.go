@@ -78,7 +78,7 @@ func NewNetserve(k *core.Kernel, sc NetserveScale) (*Workload, error) {
 			if _, err := k.MapInto(cs, r, m.va, 0, m.size, mmu.PermRW); err != nil {
 				return nil, err
 			}
-			if err := k.WriteMem(cs, m.va, make([]byte, m.size)); err != nil {
+			if err := k.Populate(cs, m.va, m.size); err != nil {
 				return nil, err
 			}
 		}
